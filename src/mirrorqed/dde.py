@@ -66,12 +66,6 @@ class AmplitudeSeries:
             return float(np.mean(pop[-n:]))
         return None
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,re_eps,im_eps,population\n")
-            for t, e, p in zip(self.t, self.eps, self.population):
-                fh.write(f"{t!r},{e.real!r},{e.imag!r},{p!r}\n")
-
 
 def solve_delay_ode(
     Gamma: float, tau: float, phi: float, t_max: float, dt: float

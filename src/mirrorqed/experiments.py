@@ -91,7 +91,6 @@ class ExperimentConfig:
     sites_per_delay: int = 40
     leak_abort: float = 0.05
     out_dir: str = "runs"
-    formats: list = field(default_factory=lambda: ["csv"])
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -144,7 +143,6 @@ class ExperimentConfig:
             sites_per_delay=_get(raw, "solver.sites_per_delay", 40, cast=int),
             leak_abort=_get(raw, "solver.leak_abort", 0.05, cast=float),
             out_dir=_get(raw, "output.directory", "runs"),
-            formats=_get(raw, "output.formats", ["csv"]),
         )
 
     @classmethod
@@ -180,7 +178,7 @@ class ExperimentConfig:
                 "sites_per_delay": self.sites_per_delay,
                 "leak_abort": self.leak_abort,
             },
-            "output": {"directory": self.out_dir, "formats": self.formats},
+            "output": {"directory": self.out_dir},
         }
 
 
@@ -481,7 +479,7 @@ def run_scattering(config: ExperimentConfig, out_dir) -> list:
     n_pts = int(round(config.t_max / config.dt)) + 1
     t = np.linspace(0.0, config.t_max, n_pts) / G
     e_ops = make_output_e_ops(space, model, spec)
-    e_ops["excitation"] = total_excitation_op(space).astype(complex)
+    e_ops["excitation"] = total_excitation_op(space)
     res = mcwf_evolve(
         H,
         jumps,

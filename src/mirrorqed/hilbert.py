@@ -3,17 +3,16 @@
 A :class:`CompositeSpace` enumerates occupation tuples ``(s, n_1, ..., n_M)``
 with the qubit first and the modes in ascending-nu order.  An optional cap on
 the total excitation number keeps single- and few-excitation problems at
-their natural dimension instead of the full Fock product.
+their natural dimension instead of the full Fock product.  Operators on the
+space are lifted straight into CSR from the basis index.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
-
-HERMITICITY_TOL = 1e-12
+import scipy.sparse as sp
 
 
 class DimensionMismatchError(ValueError):
@@ -32,26 +31,25 @@ class CompositeSpace:
         self.n_max = n_max
         self.max_excitations = max_excitations
         self.factor_dims = (2,) + (n_max + 1,) * n_modes
-        if max_excitations is None:
-            basis = list(itertools.product(*(range(d) for d in self.factor_dims)))
-        else:
-            # walk only occupations with bounded total — the full product is
-            # exponential in the number of modes
-            basis = []
-
-            def extend(prefix, budget, factor):
-                if factor == len(self.factor_dims):
-                    basis.append(tuple(prefix))
-                    return
-                for n in range(min(self.factor_dims[factor] - 1, budget) + 1):
-                    prefix.append(n)
-                    extend(prefix, budget - n, factor + 1)
-                    prefix.pop()
-
-            extend([], max_excitations, 0)
-        self.basis = tuple(basis)
-        self.index = {occ: i for i, occ in enumerate(basis)}
-        self.dim = len(basis)
+        # an uncapped space is capped at its largest total, so one ranking
+        # scheme serves both
+        cap = sum(self.factor_dims) - len(self.factor_dims)
+        if max_excitations is not None:
+            cap = min(cap, max_excitations)
+        self._cap = cap
+        # grow the basis factor by factor in lexicographic order, keeping only
+        # occupations with bounded total (the full product is exponential in
+        # the number of modes)
+        occ = np.zeros((1, 0), dtype=np.int64)
+        for d in self.factor_dims:
+            levels = np.tile(np.arange(d), len(occ))[:, None]
+            occ = np.hstack([np.repeat(occ, d, axis=0), levels])
+            occ = occ[occ.sum(axis=1) <= cap]
+        self._occ = occ
+        self._offset = _rank_offsets(self.factor_dims, cap)
+        self.basis = tuple(map(tuple, occ.tolist()))
+        self.index = {o: i for i, o in enumerate(self.basis)}
+        self.dim = len(self.basis)
 
     @property
     def n_factors(self) -> int:
@@ -86,9 +84,20 @@ class CompositeSpace:
 
     def excitations(self) -> np.ndarray:
         """Total excitation number of each basis state."""
-        return np.array([sum(occ) for occ in self.basis])
+        return self._occ.sum(axis=1)
 
-    def embed(self, local: np.ndarray, factor: int) -> np.ndarray:
+    def _rank(self, occ: np.ndarray) -> np.ndarray:
+        """Basis indices of kept occupation rows ``occ`` (shape (m, n_factors)).
+
+        Each factor adds the number of kept states that agree on the earlier
+        factors and hold fewer quanta here, read from a completion-count table;
+        every partial sum stays below ``dim``.
+        """
+        spent = np.cumsum(occ, axis=1) - occ
+        factors = np.arange(self.n_factors)
+        return self._offset[factors, self._cap - spent, occ].sum(axis=1)
+
+    def embed(self, local: np.ndarray, factor: int) -> sp.csr_matrix:
         """Lift a single-factor operator; identity on all other factors.
 
         On a capped space this is the compression P (op x 1) P with P the
@@ -100,18 +109,22 @@ class CompositeSpace:
             raise DimensionMismatchError(
                 f"factor {factor} has dimension {d}, operator is {local.shape}"
             )
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        rows, cols = np.nonzero(local)
-        for i, occ in enumerate(self.basis):
-            n = occ[factor]
-            for r, c in zip(rows, cols):
-                if c != n:
-                    continue
-                target = occ[:factor] + (int(r),) + occ[factor + 1 :]
-                j = self.index.get(target)
-                if j is not None:
-                    out[j, i] += local[r, c]
-        return out
+        totals = self.excitations()
+        rows, cols, vals = [], [], []
+        for r, c in zip(*np.nonzero(local)):
+            kept = (self._occ[:, factor] == c) & (totals + (r - c) <= self._cap)
+            src = np.flatnonzero(kept)
+            target = self._occ[src]
+            target[:, factor] = r
+            rows.append(self._rank(target))
+            cols.append(src)
+            vals.append(np.full(len(src), local[r, c]))
+        if not rows:
+            return sp.csr_matrix((self.dim, self.dim), dtype=complex)
+        return sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.dim, self.dim),
+        )
 
     def mode_factor(self, mode: int) -> int:
         """Factor index of the mode at storage position ``mode`` (0-based)."""
@@ -120,22 +133,19 @@ class CompositeSpace:
         return 1 + mode
 
     def boundary_projector(self) -> np.ndarray:
-        """Diagonal projector onto truncation-boundary states.
+        """Diagonal of the projector onto truncation-boundary states.
 
         A state is on the boundary if any mode sits in its top Fock level or,
         on a capped space, if the total excitation number equals the cap.
         Population here measures truncation leakage.
         """
-        diag = np.zeros(self.dim)
-        for i, occ in enumerate(self.basis):
-            at_top = self.n_modes > 0 and max(occ[1:]) >= self.n_max > 0
-            at_cap = (
-                self.max_excitations is not None
-                and sum(occ) >= self.max_excitations > 0
-            )
-            if at_top or at_cap:
-                diag[i] = 1.0
-        return np.diag(diag)
+        at_top = np.zeros(self.dim, dtype=bool)
+        if self.n_modes > 0 and self.n_max > 0:
+            at_top = self._occ[:, 1:].max(axis=1) >= self.n_max
+        at_cap = np.zeros(self.dim, dtype=bool)
+        if self.max_excitations is not None and self.max_excitations > 0:
+            at_cap = self.excitations() >= self.max_excitations
+        return (at_top | at_cap).astype(float)
 
     def ptrace_qubit(self, rho: np.ndarray) -> np.ndarray:
         """Reduced 2x2 qubit state."""
@@ -151,24 +161,46 @@ class CompositeSpace:
         return out
 
 
+def _rank_offsets(factor_dims: tuple, cap: int) -> np.ndarray:
+    """offset[k, b, n]: kept states below occupation n of factor k, budget b.
+
+    With b quanta left for factors k, k+1, ..., choosing n at factor k skips
+    the completions of every smaller choice v < n: those with at most b - v
+    quanta on the later factors.
+    """
+    k_max = len(factor_dims)
+    completions = np.ones(cap + 1, dtype=np.int64)  # no factors left
+    offset = np.zeros((k_max, cap + 1, max(factor_dims)), dtype=np.int64)
+    budgets = np.arange(cap + 1)
+    for k in range(k_max - 1, -1, -1):
+        for n in range(1, factor_dims[k]):
+            offset[k, n:, n] = offset[k, n:, n - 1] + completions[1 : cap + 2 - n]
+        top = np.minimum(budgets, factor_dims[k] - 1)
+        completions = offset[k, budgets, top] + completions[budgets - top]
+    return offset
+
+
+def as_csr(op) -> sp.csr_matrix:
+    """CSR form of an operator given as QuantumOperator, sparse or array-like."""
+    if isinstance(op, QuantumOperator):
+        op = op.matrix
+    if sp.issparse(op):
+        return op.tocsr().astype(complex, copy=False)
+    return sp.csr_matrix(np.asarray(op, dtype=complex))
+
+
 @dataclass(frozen=True)
 class QuantumOperator:
-    """Dense operator bound to the space it acts on."""
+    """Sparse (CSR) operator bound to the space it acts on."""
 
     space: CompositeSpace
-    matrix: np.ndarray
+    matrix: sp.csr_matrix
 
     def __post_init__(self):
         if self.matrix.shape != (self.space.dim, self.space.dim):
             raise DimensionMismatchError(
                 f"matrix shape {self.matrix.shape} vs space dim {self.space.dim}"
             )
-
-    def dag(self) -> "QuantumOperator":
-        return QuantumOperator(self.space, self.matrix.conj().T)
-
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T))) < tol
 
 
 def destroy(dim: int) -> np.ndarray:

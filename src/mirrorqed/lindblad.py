@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from .hilbert import (
-    HERMITICITY_TOL,
     CompositeSpace,
     QuantumOperator,
+    as_csr,
     destroy,
     number_op,
     sigma_minus,
@@ -28,6 +28,7 @@ from .hilbert import (
 from .model import EffectiveModel, ParameterError
 from .results import EvolutionResult
 
+HERMITICITY_TOL = 1e-12
 TRACE_NULL_TOL = 1e-10
 UNIQUENESS_RTOL = 1e-8
 DENSE_SOLVE_CAP = 300  # above this dim, steady states fall back to integration
@@ -75,24 +76,24 @@ def space_for_model(
     return CompositeSpace(model.n_modes, n_max, max_excitations)
 
 
-def atom_op(space: CompositeSpace, local: np.ndarray) -> np.ndarray:
+def atom_op(space: CompositeSpace, local: np.ndarray) -> sp.csr_matrix:
     return space.embed(local, 0)
 
 
-def mode_op(space: CompositeSpace, local: np.ndarray, mode: int) -> np.ndarray:
+def mode_op(space: CompositeSpace, local: np.ndarray, mode: int) -> sp.csr_matrix:
     return space.embed(local, space.mode_factor(mode))
 
 
-def collective_mode_op(space: CompositeSpace) -> np.ndarray:
+def collective_mode_op(space: CompositeSpace) -> sp.csr_matrix:
     """A = sum_nu a_nu, the operator coupling block A to the output channel."""
     a = destroy(space.n_max + 1)
-    out = np.zeros((space.dim, space.dim), dtype=complex)
+    out = sp.csr_matrix((space.dim, space.dim), dtype=complex)
     for m in range(space.n_modes):
         out += mode_op(space, a, m)
     return out
 
 
-def total_excitation_op(space: CompositeSpace) -> np.ndarray:
+def total_excitation_op(space: CompositeSpace) -> sp.csr_matrix:
     out = atom_op(space, np.diag([0.0, 1.0]).astype(complex))
     n = number_op(space.n_max + 1)
     for m in range(space.n_modes):
@@ -112,9 +113,9 @@ def build_hamiltonian(
         raise ParameterError(
             f"space has {space.n_modes} modes, model retains {model.n_modes}"
         )
-    a = destroy(space.n_max + 1)
-    sm = sigma_minus()
-    H = np.zeros((space.dim, space.dim), dtype=complex)
+    adag = destroy(space.n_max + 1).T
+    sm = atom_op(space, sigma_minus())
+    H = sp.csr_matrix((space.dim, space.dim), dtype=complex)
     if model.frame == "lab":
         H += model.params.omega0 * atom_op(space, np.diag([0.0, 1.0]).astype(complex))
         freqs = model.Omega
@@ -124,7 +125,7 @@ def build_hamiltonian(
     for m, (freq, g) in enumerate(zip(freqs, model.g_nu)):
         if freq != 0.0:
             H += freq * mode_op(space, n_local, m)
-        adag_sm = mode_op(space, a.conj().T, m) @ atom_op(space, sm)
+        adag_sm = mode_op(space, adag, m) @ sm
         H += g * (adag_sm + adag_sm.conj().T)
     if drive.Omega_D != 0.0:
         H += 0.5 * drive.Omega_D * atom_op(space, sigma_x())
@@ -149,17 +150,9 @@ def build_jump_ops(
     return jumps
 
 
-def _as_sparse(op) -> sp.csr_matrix:
-    if isinstance(op, QuantumOperator):
-        op = op.matrix
-    if sp.issparse(op):
-        return op.tocsr()
-    return sp.csr_matrix(np.asarray(op, dtype=complex))
-
-
 def commutator_superop(V) -> sp.csr_matrix:
     """Superoperator for -i[V, .] under C-order vectorization."""
-    V = _as_sparse(V)
+    V = as_csr(V)
     d = V.shape[0]
     eye = sp.identity(d, dtype=complex, format="csr")
     return (-1j * (sp.kron(V, eye) - sp.kron(eye, V.T))).tocsr()
@@ -167,7 +160,7 @@ def commutator_superop(V) -> sp.csr_matrix:
 
 def dissipator_superop(J, rate: float = 1.0) -> sp.csr_matrix:
     """Superoperator for rate * (J rho J+ - {J+J, rho}/2)."""
-    J = _as_sparse(J)
+    J = as_csr(J)
     d = J.shape[0]
     eye = sp.identity(d, dtype=complex, format="csr")
     JdJ = (J.conj().T @ J).tocsr()
@@ -177,10 +170,9 @@ def dissipator_superop(J, rate: float = 1.0) -> sp.csr_matrix:
 
 def build_liouvillian(H, jumps=()) -> sp.csr_matrix:
     """Generator L with vec(rho') = L vec(rho)."""
-    Hm = H.matrix if isinstance(H, QuantumOperator) else np.asarray(H)
-    if float(np.max(np.abs(Hm - Hm.conj().T))) >= HERMITICITY_TOL * max(
-        1.0, float(np.max(np.abs(Hm)))
-    ):
+    Hm = as_csr(H)
+    scale = max(1.0, float(abs(Hm).max()))
+    if float(abs(Hm - Hm.conj().T).max()) >= HERMITICITY_TOL * scale:
         raise NonHermitianError("Hamiltonian is not Hermitian")
     L = commutator_superop(Hm)
     for op, rate in jumps:
@@ -199,9 +191,11 @@ def trace_preservation_residual(L: sp.spmatrix) -> float:
     return float(np.max(np.abs(vec_id @ L)))
 
 
-def expectation(op, rho: np.ndarray) -> float | complex:
-    val = complex(np.trace(np.asarray(op) @ rho))
-    return val
+def expectation(op, rho: np.ndarray) -> complex:
+    """Tr(op rho) as the sum of op[i, j] rho[j, i] over the stored entries of op."""
+    op = as_csr(op)
+    rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+    return complex(op.data @ rho[op.indices, rows])
 
 
 def integrate_me(
@@ -223,10 +217,10 @@ def integrate_me(
     method "expm" is exact stepping for time-independent generators.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    L = L.tocsr() if sp.issparse(L) else sp.csr_matrix(L)
+    L = as_csr(L)
     d = int(round(math.isqrt(L.shape[0])))
     rho0 = np.asarray(rho0, dtype=complex)
-    td = [(fn, sop.tocsr() if sp.issparse(sop) else sp.csr_matrix(sop)) for fn, sop in td_terms]
+    td = [(fn, as_csr(sop)) for fn, sop in td_terms]
 
     if method == "expm":
         if td:
@@ -278,19 +272,11 @@ def integrate_me(
 
 def _propagate_expm(L: sp.csr_matrix, rho0: np.ndarray, t_grid: np.ndarray) -> list:
     d = rho0.shape[0]
-    diffs = np.diff(t_grid)
-    uniform = len(diffs) == 0 or np.allclose(diffs, diffs[0], rtol=1e-12, atol=0)
     states = [rho0.copy()]
     y = rho0.reshape(-1)
-    if uniform and len(diffs):
-        U = expm((L * diffs[0]).toarray())
-        for _ in diffs:
-            y = U @ y
-            states.append(y.reshape(d, d))
-    else:
-        for h in diffs:
-            y = expm((L * h).toarray()) @ y
-            states.append(y.reshape(d, d))
+    for h in np.diff(t_grid):
+        y = expm_multiply(L * h, y)
+        states.append(y.reshape(d, d))
     return states
 
 
@@ -307,7 +293,7 @@ def steady_state(
     the maximally mixed state.  Uniqueness of the zero eigenvalue is verified
     by dense SVD when the superoperator is small enough to afford it.
     """
-    L = L.tocsr() if sp.issparse(L) else sp.csr_matrix(L)
+    L = as_csr(L)
     n = L.shape[0]
     d = int(round(math.isqrt(n)))
     scale = float(abs(L).max()) or 1.0

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .hilbert import QuantumOperator
+from .hilbert import as_csr
 from .results import EvolutionResult
 
 JUMP_TIME_TOL = 1e-6
@@ -31,14 +31,6 @@ MAX_JUMPS_PER_SUBSTEP = 1000
 
 class TruncationWarning(UserWarning):
     """Top-Fock (or excitation-cap) population exceeded the leakage threshold."""
-
-
-def _csr(op):
-    if isinstance(op, QuantumOperator):
-        op = op.matrix
-    if sp.issparse(op):
-        return op.tocsr()
-    return sp.csr_matrix(np.asarray(op, dtype=complex))
 
 
 @dataclass
@@ -177,17 +169,17 @@ def mcwf_evolve(
     seed: int,
     td_terms=(),
     e_ops=None,
-    substeps: int | None = None,
-    max_step: float | None = None,
-    leak_projector=None,
+    substeps: int = 1,
+    leak_projector: np.ndarray | None = None,
 ) -> EvolutionResult:
     """Trajectory-averaged observables with standard errors.
 
     jumps: (operator, rate) pairs.  td_terms: (coeff_fn, op) pairs adding
     c(t) op + conj(c(t)) op+ to the Hamiltonian.  e_ops: name -> matrix, or
-    name -> callable(t, normalized_psi) for composite observables.  The
-    integrator is fixed-step RK4 with ``substeps`` steps per grid interval
-    (or steps sized at most ``max_step``); jump times are bisected to
+    name -> callable(t, normalized_psi) for composite observables.
+    leak_projector: diagonal of the boundary projector, as returned by
+    ``CompositeSpace.boundary_projector``.  The integrator is fixed-step RK4
+    with ``substeps`` steps per grid interval; jump times are bisected to
     JUMP_TIME_TOL and channels chosen by relative jump probability.
     """
     if n_traj < 1:
@@ -203,24 +195,21 @@ def mcwf_evolve(
     if abs(nrm0 - 1.0) > 1e-10:
         raise ValueError("psi0 must be normalized")
 
-    Hc = _csr(H)
-    jump_list = [(_csr(op), float(rate)) for op, rate in jumps]
-    Heff = Hc.astype(complex).copy()
+    jump_list = [(as_csr(op), float(rate)) for op, rate in jumps]
+    Heff = as_csr(H)
     for J, rate in jump_list:
         Heff = Heff - 0.5j * rate * (J.conj().T @ J)
-    td = [(fn, _csr(op), _csr(op).conj().T.tocsr()) for fn, op in td_terms]
+    td = [(fn, as_csr(op), as_csr(op).conj().T.tocsr()) for fn, op in td_terms]
     scaled_jumps = [np.sqrt(rate) * J for J, rate in jump_list if rate > 0]
-
-    if substeps is None:
-        if max_step is None:
-            max_step = dt_grid
-        substeps = max(1, int(np.ceil(dt_grid / max_step - 1e-12)))
 
     e_ops = dict(e_ops or {})
     leak_diag = None
     if leak_projector is not None:
-        lp = leak_projector.matrix if isinstance(leak_projector, QuantumOperator) else leak_projector
-        leak_diag = np.real(np.diag(np.asarray(lp)))
+        leak_diag = np.asarray(leak_projector, dtype=float)
+        if leak_diag.shape != psi0.shape:
+            raise ValueError(
+                f"leak_projector has shape {leak_diag.shape}, expected {psi0.shape}"
+            )
 
     prob = _Problem(
         Heff=Heff.tocsr(),

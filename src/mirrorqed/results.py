@@ -1,8 +1,7 @@
-"""Time-series results and their CSV/JSON serialization."""
+"""Time-series results and their CSV serialization."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,34 +16,6 @@ class EvolutionResult:
     stderr: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
     states: list | None = None  # density matrices or kets, when retained
-
-    def to_csv(self, path) -> None:
-        names = list(self.observables)
-        cols = [self.observables[n] for n in names]
-        err_names = [n for n in names if n in self.stderr]
-        header = ["t"] + names + [f"{n}_stderr" for n in err_names]
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for i, t in enumerate(self.t):
-                row = [repr(float(t))]
-                row += [repr(float(c[i])) for c in cols]
-                row += [repr(float(self.stderr[n][i])) for n in err_names]
-                fh.write(",".join(row) + "\n")
-
-    def write_sidecar(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.meta, fh, indent=2, sort_keys=True, default=_jsonify)
-            fh.write("\n")
-
-
-def _jsonify(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return str(obj)
 
 
 def write_csv(path, header: list, rows) -> None:

@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .hilbert import CompositeSpace
-from .lindblad import collective_mode_op, total_excitation_op
+from .lindblad import collective_mode_op, expectation
 from .model import EffectiveModel, ParameterError
 from .results import EvolutionResult
 
@@ -64,14 +65,13 @@ def build_drive_term(model: EffectiveModel, spec: PulseSpec, space: CompositeSpa
 
     if space is None:
         return coeff, None
-    return coeff, collective_mode_op(space).conj().T
+    return coeff, collective_mode_op(space).conj().T.tocsr()
 
 
-def output_operator(space: CompositeSpace, gamma: float, E_in: complex) -> np.ndarray:
+def output_operator(space: CompositeSpace, gamma: float, E_in: complex) -> sp.csr_matrix:
     """O = E_in * 1 + i sqrt(gamma) A at one instant."""
-    O = 1j * math.sqrt(gamma) * collective_mode_op(space)
-    O[np.diag_indices_from(O)] += E_in
-    return O
+    eye = sp.identity(space.dim, dtype=complex, format="csr")
+    return E_in * eye + 1j * math.sqrt(gamma) * collective_mode_op(space)
 
 
 def make_output_e_ops(space: CompositeSpace, model: EffectiveModel, spec: PulseSpec | None):
@@ -109,10 +109,9 @@ def output_observables(result: EvolutionResult, model: EffectiveModel, space: Co
     for i, (t, rho) in enumerate(zip(result.t, result.states)):
         E = gaussian_envelope(spec, t) if spec is not None else 0.0
         O = output_operator(space, model.gamma, E)
-        OdO = O.conj().T @ O
-        I_out[i] = float(np.real(np.trace(OdO @ rho)))
+        I_out[i] = expectation(O.conj().T @ O, rho).real
         O2 = O @ O
-        G2[i] = float(np.real(np.trace((O2.conj().T @ O2) @ rho)))
+        G2[i] = expectation(O2.conj().T @ O2, rho).real
     return I_out, G2
 
 

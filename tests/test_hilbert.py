@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,10 +65,10 @@ def test_embed_matches_kron_on_uncapped_space():
     a = destroy(3)
     built = sp.embed(a, factor=2)
     ref = np.kron(np.kron(np.eye(2), np.eye(3)), a)
-    assert np.allclose(built, ref)
+    assert np.allclose(built.toarray(), ref)
     built_q = sp.embed(sigma_minus(), factor=0)
     ref_q = np.kron(sigma_minus(), np.eye(9))
-    assert np.allclose(built_q, ref_q)
+    assert np.allclose(built_q.toarray(), ref_q)
 
 
 def test_embed_on_capped_space_is_projected_kron():
@@ -77,7 +78,56 @@ def test_embed_on_capped_space_is_projected_kron():
     for i, occ in enumerate(sp_cap.basis):
         P[i, sp_full.index[occ]] = 1.0
     a = destroy(3)
-    assert np.allclose(sp_cap.embed(a, 1), P @ sp_full.embed(a, 1) @ P.T)
+    assert np.allclose(sp_cap.embed(a, 1).toarray(), P @ sp_full.embed(a, 1) @ P.T)
+
+
+def _projected_kron(space, local, factor):
+    """Reference embedding: full Kronecker product compressed to the kept basis."""
+    full = np.ones((1, 1))
+    for k, d in enumerate(space.factor_dims):
+        full = np.kron(full, local if k == factor else np.eye(d))
+    radix = np.cumprod((1,) + space.factor_dims[:0:-1])[::-1]
+    kept = np.array([np.dot(occ, radix) for occ in space.basis], dtype=int)
+    return full[np.ix_(kept, kept)]
+
+
+@given(
+    n_modes=st.integers(0, 4),
+    n_max=st.integers(0, 3),
+    cap=st.none() | st.integers(0, 5),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_embed_equals_projected_kron(n_modes, n_max, cap, data):
+    space = CompositeSpace(n_modes, n_max, max_excitations=cap)
+    factor = data.draw(st.integers(0, space.n_factors - 1))
+    d = space.factor_dims[factor]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    local = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) * (
+        rng.random((d, d)) < 0.6
+    )
+    built = space.embed(local, factor)
+    assert isinstance(built, scipy.sparse.csr_matrix)
+    assert np.all(built.data != 0)
+    assert np.allclose(built.toarray(), _projected_kron(space, local, factor))
+
+
+def test_embed_on_many_mode_capped_space_stays_in_range():
+    # 4^41 exceeds int64: a mixed-radix key of the occupations would overflow
+    space = CompositeSpace(n_modes=41, n_max=3, max_excitations=2)
+    a = destroy(4)
+    ad = space.embed(a.T, space.mode_factor(40))
+    assert isinstance(ad, scipy.sparse.csr_matrix)
+    assert ad.indices.max() < space.dim
+    assert np.all(ad.data != 0)
+    # every kept state with room below the cap gains one photon in the last mode
+    for i in (0, space.index[(1,) + (0,) * 41], space.index[(0, 1) + (0,) * 40]):
+        occ = space.basis[i]
+        target = occ[:-1] + (occ[-1] + 1,)
+        col = ad[:, i].toarray().ravel()
+        assert np.flatnonzero(col).tolist() == [space.index[target]]
+        assert col[space.index[target]] == pytest.approx(1.0)
+    assert ad[:, space.index[(1, 1) + (0,) * 40]].nnz == 0  # already at the cap
 
 
 def test_embed_rejects_wrong_local_dimension():
@@ -97,7 +147,8 @@ def test_vacuum_and_basis_state():
 
 def test_boundary_projector_flags_cap_and_top_fock():
     sp = CompositeSpace(n_modes=2, n_max=2, max_excitations=2)
-    diag = np.diag(sp.boundary_projector()).real
+    diag = sp.boundary_projector()
+    assert diag.shape == (sp.dim,)
     for i, occ in enumerate(sp.basis):
         expect = 1.0 if (max(occ[1:]) >= 2 or sum(occ) >= 2) else 0.0
         assert diag[i] == expect

@@ -145,7 +145,7 @@ def test_jump_ops_channels():
     assert len(jumps) == 3
     op, rate = jumps[0]
     assert rate == pytest.approx(m.gamma)
-    assert np.allclose(op, collective_mode_op(space))
+    assert np.allclose(op.toarray(), collective_mode_op(space).toarray())
     assert jumps[1][1] == pytest.approx(0.2)
     assert jumps[2][1] == pytest.approx(0.3)
 

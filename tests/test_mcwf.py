@@ -130,3 +130,5 @@ def test_input_validation():
         mcwf_evolve(np.zeros((2, 2)), [], psi0, t[::-1], n_traj=1, seed=0)
     with pytest.raises(ValueError):
         mcwf_evolve(np.zeros((2, 2)), [], psi0, t, n_traj=0, seed=0)
+    with pytest.raises(ValueError):  # a projector matrix, not its diagonal
+        mcwf_evolve(np.zeros((2, 2)), [], psi0, t, n_traj=1, seed=0, leak_projector=np.eye(2))

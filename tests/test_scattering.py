@@ -1,10 +1,13 @@
 """Pulse envelopes, drive/output conventions, flux accounting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
+from mirrorqed.experiments import ExperimentConfig
 from mirrorqed.lindblad import (
     DriveDissipationSpec,
     build_hamiltonian,
@@ -129,3 +132,34 @@ def test_pulse_scattering_conserves_photon_number():
     assert abs(audit["mismatch"]) < 2e-3
     assert np.all(I_out >= -1e-10)
     assert np.all(G2 >= -1e-10)
+
+
+def test_default_scattering_operators_build_in_small_memory():
+    # the default `mirrorqed scattering` run: N_A = 7, and the runner's
+    # effective truncation n_max 3, cap 5 (dim 19125); one dense dim x dim
+    # complex matrix would take 5.85 GB
+    config = ExperimentConfig(experiment="scattering")
+    p = params_from_dimensionless(config.Gamma_tau, config.phi)
+    model = build_effective_model(p, snap_block_length(p, config.ratio), config.N_A[0])
+    spec = PulseSpec(W=2.5 * p.Gamma, t0=2.0 / p.Gamma, n_ph=0.5)
+    drive = DriveDissipationSpec(gamma=model.gamma)
+    tracemalloc.start()
+    try:
+        space = space_for_model(model, n_max=3, max_excitations=5)
+        H = build_hamiltonian(model, drive, space)
+        (J, _), = build_jump_ops(model, drive, space)
+        _, Adag = build_drive_term(model, spec, space)
+        e_ops = make_output_e_ops(space, model, spec)
+        N = total_excitation_op(space)
+        mask = space.boundary_projector()
+        vac = space.vacuum()
+        i_out = e_ops["I_out"](spec.t0, vac)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.dim == 19125
+    for op in (H.matrix, J, Adag, N):
+        assert isinstance(op, scipy.sparse.csr_matrix)
+    assert mask.shape == (space.dim,)
+    assert i_out == pytest.approx(abs(gaussian_envelope(spec, spec.t0)) ** 2)
+    assert peak < 100 * 2**20
