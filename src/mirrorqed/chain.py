@@ -257,9 +257,7 @@ def evolve_sector(
             "norm": p.sum(axis=1),
             "energy": energy,
         },
-        meta={"spec": spec.__dict__ if not hasattr(spec, "__dataclass_fields__") else None,
-              "max_excitations": max_excitations,
-              "dim": len(basis)},
+        meta={"max_excitations": max_excitations, "dim": len(basis)},
     )
 
 

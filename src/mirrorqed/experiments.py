@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import yaml
+from scipy.linalg import expm
 
 from . import __version__
 from .dde import fit_decay_rate, markovian_rate, solve_delay_ode
@@ -30,7 +31,7 @@ from .lindblad import (
     steady_state,
     total_excitation_op,
 )
-from .mcwf import mcwf_evolve
+from .mcwf import effective_hamiltonian, mcwf_evolve, uniform_step
 from .model import build_effective_model, params_from_dimensionless, snap_block_length
 from .results import write_csv
 from .scattering import PulseSpec, build_drive_term, flux_balance, make_output_e_ops
@@ -45,6 +46,42 @@ class ConfigError(ValueError):
 
 class TruncationAbort(RuntimeError):
     """Boundary-state leakage exceeded the configured threshold."""
+
+
+# every config field, by block; None marks a leaf.  drive.pulse may be null.
+SCHEMA = {
+    "experiment": None,
+    "physical": {"Gamma_tau": None, "phi": None, "ratio": None},
+    "model": {"N_A": None, "n_max": None, "max_excitations": None, "frame": None},
+    "drive": {
+        "Omega_D": None,
+        "pulse": {"W": None, "t0": None, "n_ph": None, "delta_in": None},
+    },
+    "solver": {
+        "backend": None,
+        "dt": None,
+        "t_max": None,
+        "n_traj": None,
+        "seed": None,
+        "substeps": None,
+        "sites_per_delay": None,
+        "leak_abort": None,
+    },
+    "output": {"directory": None},
+}
+
+
+def _check_fields(node: dict, schema: dict, prefix: str = "") -> None:
+    """Reject keys outside the schema, naming the full field path."""
+    for key, value in node.items():
+        path = f"{prefix}{key}"
+        if key not in schema:
+            raise ConfigError(f"unknown field '{path}'")
+        if schema[key] is None or value is None:
+            continue
+        if not isinstance(value, dict):
+            raise ConfigError(f"field '{path}': must be a mapping")
+        _check_fields(value, schema[key], f"{path}.")
 
 
 def _get(block: dict, path: str, default=None, required=False, cast=None):
@@ -107,6 +144,10 @@ class ExperimentConfig:
             raise ConfigError("field 'solver.dt'/'solver.t_max': must be positive")
         if self.n_traj < 1:
             raise ConfigError("field 'solver.n_traj': must be >= 1")
+        if self.substeps < 1:
+            raise ConfigError("field 'solver.substeps': must be >= 1")
+        if self.sites_per_delay < 2:
+            raise ConfigError("field 'solver.sites_per_delay': must be >= 2")
         if any(n < 0 for n in self.N_A):
             raise ConfigError("field 'model.N_A': entries must be non-negative")
         if self.frame not in ("rotating", "lab"):
@@ -116,6 +157,7 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a mapping")
+        _check_fields(raw, SCHEMA)
         exp = _get(raw, "experiment", required=True)
         NA = _get(raw, "model.N_A", default=[7])
         if isinstance(NA, int):
@@ -196,6 +238,23 @@ def _write_provenance(out: Path, config: ExperimentConfig, runtime: float, extra
     )
 
 
+def _decay_problem(Gamma_tau, phi, ratio, N_A, frame):
+    """Truncated model in its one-excitation sector, for decay from |e> vacuum.
+
+    Returns (Gamma, space, H, jumps, n_at); the single-excitation sector
+    suffices for spontaneous emission.
+    """
+    params = params_from_dimensionless(Gamma_tau, phi)
+    L = snap_block_length(params, ratio)
+    model = build_effective_model(params, L, N_A, frame=frame)
+    space = space_for_model(model, n_max=1, max_excitations=1)
+    drive = DriveDissipationSpec(gamma=model.gamma)
+    H = build_hamiltonian(model, drive, space)
+    jumps = build_jump_ops(model, drive, space)
+    n_at = atom_op(space, (sigma_plus() @ sigma_minus()).astype(complex))
+    return params.Gamma, space, H, jumps, n_at
+
+
 def model_decay_curve(
     Gamma_tau: float,
     phi: float,
@@ -206,28 +265,56 @@ def model_decay_curve(
 ) -> np.ndarray:
     """Atomic population of the truncated model, starting from |e> vacuum.
 
-    t_grid is in units of 1/Gamma.  The single-excitation sector suffices for
-    spontaneous emission.
+    t_grid is in units of 1/Gamma.  Integrates the master equation; the
+    runners use the equivalent ``amplitude_decay_curve``.
     """
-    params = params_from_dimensionless(Gamma_tau, phi)
-    L = snap_block_length(params, ratio)
-    model = build_effective_model(params, L, N_A, frame=frame)
-    space = space_for_model(model, n_max=1, max_excitations=1)
-    drive = DriveDissipationSpec(gamma=model.gamma)
-    H = build_hamiltonian(model, drive, space)
-    jumps = build_jump_ops(model, drive, space)
-    L = build_liouvillian(H, jumps)
+    Gamma, space, H, jumps, n_at = _decay_problem(Gamma_tau, phi, ratio, N_A, frame)
     psi = space.vacuum(excited=True)
-    rho0 = np.outer(psi, psi.conj())
-    n_at = atom_op(space, (sigma_plus() @ sigma_minus()).astype(complex))
     res = integrate_me(
-        L,
-        rho0,
-        np.asarray(t_grid, dtype=float) / params.Gamma,
+        build_liouvillian(H, jumps),
+        np.outer(psi, psi.conj()),
+        np.asarray(t_grid, dtype=float) / Gamma,
         e_ops={"atom_population": n_at},
         keep_states=False,
     )
     return np.real(res.observables["atom_population"])
+
+
+def _amplitude_decay(Gamma_tau, phi, ratio, N_A, t_grid, frame="rotating"):
+    """(population on t_grid, sector dim) from the amplitude equations."""
+    Gamma, space, H, jumps, n_at = _decay_problem(Gamma_tau, phi, ratio, N_A, frame)
+    h = uniform_step(np.asarray(t_grid, dtype=float) / Gamma)
+    U = expm(-1j * h * effective_hamiltonian(H, jumps).toarray())
+    amps = np.empty((len(t_grid), space.dim), dtype=complex)
+    amps[0] = space.vacuum(excited=True)
+    for k in range(1, len(t_grid)):
+        amps[k] = U @ amps[k - 1]
+    return np.abs(amps) ** 2 @ n_at.diagonal().real, space.dim
+
+
+def amplitude_decay_curve(
+    Gamma_tau: float,
+    phi: float,
+    ratio: float,
+    N_A: int,
+    t_grid: np.ndarray,
+    frame: str = "rotating",
+) -> np.ndarray:
+    """``model_decay_curve`` from the single-excitation amplitude equations.
+
+    The block loss maps the one-excitation sector to |g, vac>, which H leaves
+    alone and which carries no atomic population, so the population is
+    exactly that of the no-jump state exp(-i Heff t)|e, vac>.  One dense
+    propagator for the grid step advances it; t_grid must be uniform.
+    """
+    return _amplitude_decay(Gamma_tau, phi, ratio, N_A, t_grid, frame)[0]
+
+
+def _decay_solver(dims) -> dict:
+    """Provenance entry for the model decay curves a runner computed."""
+    if not dims:
+        return {}
+    return {"decay_solver": {"method": "amplitude", "dim": max(dims)}}
 
 
 def _dde_on_grid(config: ExperimentConfig, t: np.ndarray) -> np.ndarray:
@@ -247,6 +334,7 @@ def run_emission(config: ExperimentConfig, out_dir) -> list:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
+    extra = None
     n_pts = int(round(config.t_max / config.dt)) + 1
     t = np.linspace(0.0, config.t_max, n_pts)  # units of 1/Gamma
 
@@ -271,14 +359,17 @@ def run_emission(config: ExperimentConfig, out_dir) -> list:
         )
         written.append(path)
     else:
+        dims = []
         for N_A in config.N_A:
-            pop = model_decay_curve(
+            pop, dim = _amplitude_decay(
                 config.Gamma_tau, config.phi, config.ratio, N_A, t, config.frame
             )
+            dims.append(dim)
             path = out / f"emission_me_NA{N_A}.csv"
             _write_table(path, {"t": t, "atom_population": pop})
             written.append(path)
-    _write_provenance(out, config, time.time() - t0)
+        extra = _decay_solver(dims)
+    _write_provenance(out, config, time.time() - t0, extra)
     return written
 
 
@@ -290,12 +381,13 @@ def run_convergence(config: ExperimentConfig, out_dir) -> list:
     n_pts = int(round(config.t_max / config.dt)) + 1
     t = np.linspace(0.0, config.t_max, n_pts)
     pop_dde = _dde_on_grid(config, t)
-    errors = []
+    errors, dims = [], []
     for N_A in config.N_A:
-        pop = model_decay_curve(
+        pop, dim = _amplitude_decay(
             config.Gamma_tau, config.phi, config.ratio, N_A, t, config.frame
         )
         errors.append(float(np.max(np.abs(pop - pop_dde))))
+        dims.append(dim)
     non_monotone = [
         int(config.N_A[i + 1])
         for i in range(len(errors) - 1)
@@ -307,7 +399,10 @@ def run_convergence(config: ExperimentConfig, out_dir) -> list:
         {"N_A": np.array(config.N_A, dtype=float), "max_error": np.array(errors)},
     )
     _write_provenance(
-        out, config, time.time() - t0, extra={"non_monotonic_at": non_monotone}
+        out,
+        config,
+        time.time() - t0,
+        extra={"non_monotonic_at": non_monotone, **_decay_solver(dims)},
     )
     return [path]
 
@@ -322,13 +417,15 @@ def run_purcell(config: ExperimentConfig, out_dir) -> list:
     out.mkdir(parents=True, exist_ok=True)
     Gamma_tau = config.Gamma_tau if config.Gamma_tau < 0.1 else 1e-2
     rows = {"phi": [], "rate_theory": [], "rate_dde": [], "rate_model": []}
+    dims = []
     for phi in PURCELL_PHIS:
         theory = markovian_rate(1.0, phi)
         t_fit = 2.0 / theory
         dde = solve_delay_ode(1.0, Gamma_tau, phi, t_max=t_fit, dt=Gamma_tau / 50)
         rate_dde = fit_decay_rate(dde.t, dde.population)
         tg = np.linspace(0.0, t_fit, 201)
-        pop = model_decay_curve(Gamma_tau, phi, 1.0, 0, tg)
+        pop, dim = _amplitude_decay(Gamma_tau, phi, 1.0, 0, tg)
+        dims.append(dim)
         rate_model = fit_decay_rate(tg, pop)
         rows["phi"].append(phi)
         rows["rate_theory"].append(theory)
@@ -336,7 +433,7 @@ def run_purcell(config: ExperimentConfig, out_dir) -> list:
         rows["rate_model"].append(rate_model)
     path = out / "purcell.csv"
     _write_table(path, {k: np.array(v) for k, v in rows.items()})
-    _write_provenance(out, config, time.time() - t0)
+    _write_provenance(out, config, time.time() - t0, _decay_solver(dims))
     return [path]
 
 

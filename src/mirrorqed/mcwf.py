@@ -160,6 +160,26 @@ def _run_tail(prob, psi, t_cur, s_next, r, rng, obs_out, leak_out):
     return jumps, max_leak
 
 
+def uniform_step(t_grid: np.ndarray) -> float:
+    """Step of a strictly increasing, uniform grid of at least two points."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
+        raise ValueError("t_grid must be strictly increasing with >= 2 points")
+    step = float(t_grid[1] - t_grid[0])
+    if not np.allclose(np.diff(t_grid), step, rtol=1e-9, atol=0):
+        raise ValueError("t_grid must be uniform")
+    return step
+
+
+def effective_hamiltonian(H, jumps) -> sp.csr_matrix:
+    """Heff = H - (i/2) sum_k rate_k J_k+ J_k for (operator, rate) pairs."""
+    Heff = as_csr(H)
+    for J, rate in jumps:
+        J = as_csr(J)
+        Heff = Heff - 0.5j * float(rate) * (J.conj().T @ J)
+    return Heff.tocsr()
+
+
 def mcwf_evolve(
     H,
     jumps,
@@ -184,21 +204,17 @@ def mcwf_evolve(
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
+    if substeps < 1:
+        raise ValueError("substeps must be at least 1")
     t_grid = np.asarray(t_grid, dtype=float)
-    if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing with >= 2 points")
-    dt_grid = float(t_grid[1] - t_grid[0])
-    if not np.allclose(np.diff(t_grid), dt_grid, rtol=1e-9, atol=0):
-        raise ValueError("t_grid must be uniform")
+    dt_grid = uniform_step(t_grid)
     psi0 = np.asarray(psi0, dtype=complex)
     nrm0 = np.linalg.norm(psi0)
     if abs(nrm0 - 1.0) > 1e-10:
         raise ValueError("psi0 must be normalized")
 
     jump_list = [(as_csr(op), float(rate)) for op, rate in jumps]
-    Heff = as_csr(H)
-    for J, rate in jump_list:
-        Heff = Heff - 0.5j * rate * (J.conj().T @ J)
+    Heff = effective_hamiltonian(H, jump_list)
     td = [(fn, as_csr(op), as_csr(op).conj().T.tocsr()) for fn, op in td_terms]
     scaled_jumps = [np.sqrt(rate) * J for J, rate in jump_list if rate > 0]
 
@@ -212,7 +228,7 @@ def mcwf_evolve(
             )
 
     prob = _Problem(
-        Heff=Heff.tocsr(),
+        Heff=Heff,
         td=td,
         jump_ops=scaled_jumps,
         e_ops=e_ops,

@@ -2,15 +2,18 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from mirrorqed import cli, experiments
 from mirrorqed.experiments import (
     ConfigError,
     ExperimentConfig,
+    amplitude_decay_curve,
     markovian_overlay,
     model_decay_curve,
     model_steady_state,
@@ -51,6 +54,55 @@ def test_config_nested_round_trip(tmp_path):
     assert ExperimentConfig.from_dict(r).resolved() == r
 
 
+def test_config_range_checks():
+    with pytest.raises(ConfigError, match="solver.substeps"):
+        ExperimentConfig(experiment="scattering", substeps=0)
+    with pytest.raises(ConfigError, match="solver.sites_per_delay"):
+        ExperimentConfig(experiment="emission", sites_per_delay=1)
+
+
+@pytest.mark.parametrize(
+    "raw, path",
+    [
+        ({"experiment": "emission", "solvers": {}}, "solvers"),
+        ({"experiment": "emission", "solver": {"n_trajs": 5}}, "solver.n_trajs"),
+        ({"experiment": "scattering", "drive": {"pulse": {"width": 2}}}, "drive.pulse.width"),
+        ({"experiment": "emission", "output": {"formats": ["csv"]}}, "output.formats"),
+    ],
+)
+def test_config_unknown_field_rejected(raw, path):
+    with pytest.raises(ConfigError, match=re.escape(f"'{path}'")):
+        ExperimentConfig.from_dict(raw)
+
+
+def test_config_block_must_be_mapping():
+    with pytest.raises(ConfigError, match="'physical'"):
+        ExperimentConfig.from_dict({"experiment": "emission", "physical": 2.0})
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [{"n_trajs": 5}, {"substeps": 0}, {"sites_per_delay": 1}],
+)
+def test_cli_rejects_bad_solver_fields(tmp_path, solver):
+    p = tmp_path / "c.yaml"
+    p.write_text(yaml.safe_dump({"experiment": "emission", "solver": solver}))
+    assert cli.main(["emission", "--config", str(p), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("pulse", [None, {"W": 1.0, "t0": 3.0, "n_ph": 0.2, "delta_in": 0.1}])
+def test_config_round_trip_with_pulse(pulse):
+    c = ExperimentConfig(experiment="scattering", pulse=pulse)
+    assert ExperimentConfig.from_dict(c.resolved()).resolved() == c.resolved()
+
+
+def test_readme_schema_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"### Config schema.*?```yaml\n(.*?)```", readme, re.S).group(1)
+    c = ExperimentConfig.from_dict(yaml.safe_load(block))
+    assert c.experiment == "emission" and c.pulse["W"] == 2.5
+
+
 def test_config_bad_yaml_rejected(tmp_path):
     p = tmp_path / "bad.yaml"
     p.write_text("experiment: [unclosed")
@@ -70,6 +122,39 @@ def test_model_decay_curve_limits():
     assert pop[0] == pytest.approx(1.0, abs=1e-9)
     # short delay, phi=pi: Markovian decay at 2*Gamma
     assert np.max(np.abs(pop - np.exp(-2.0 * t))) < 0.05
+
+
+T_DECAY = np.linspace(0.0, 6.0, 121)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(2.0, math.pi / 2, 2.0, n, T_DECAY) for n in (0, 1, 7, 15)]
+    + [
+        (2.0, math.pi / 2, 2.0, 3, T_DECAY, "lab"),
+        # run_purcell's grid at phi = pi/2
+        (1e-2, math.pi / 2, 1.0, 0, np.linspace(0.0, 2.0, 201)),
+    ],
+    ids=["NA0", "NA1", "NA7", "NA15", "NA3-lab", "purcell"],
+)
+def test_amplitude_decay_matches_master_equation(args):
+    assert np.max(np.abs(amplitude_decay_curve(*args) - model_decay_curve(*args))) < 1e-8
+
+
+def test_amplitude_decay_rejects_nonuniform_grid():
+    with pytest.raises(ValueError, match="uniform"):
+        amplitude_decay_curve(2.0, math.pi / 2, 2.0, 1, np.array([0.0, 0.1, 0.3]))
+
+
+def test_decay_runners_do_not_integrate_the_master_equation(tmp_path, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("master-equation path reached")
+
+    monkeypatch.setattr(experiments, "integrate_me", boom)
+    _run(tmp_path / "c", experiment="convergence", N_A=[0, 2], t_max=3.0, dt=0.1)
+    _run(tmp_path / "p", experiment="purcell", Gamma_tau=1e-2)
+    with pytest.raises(AssertionError):
+        model_decay_curve(2.0, math.pi / 2, 2.0, 0, np.linspace(0.0, 1.0, 5))
 
 
 def test_qubit_steady_state_closed_form():
@@ -113,6 +198,8 @@ def test_run_emission_outputs(tmp_path):
     prov = json.loads((tmp_path / "provenance.json").read_text())
     assert prov["seed"] == 0
     assert prov["config"]["physical"]["Gamma_tau"] == 2.0
+    # largest sector: qubit excited or one photon in one of 2*3 + 1 modes, or ground
+    assert prov["decay_solver"] == {"method": "amplitude", "dim": 9}
     header = (tmp_path / "emission_dde.csv").read_text().splitlines()[0]
     assert header.startswith("t,")
 
@@ -123,6 +210,8 @@ def test_run_emission_chain_backend(tmp_path):
         phi=math.pi / 2, t_max=2.0, dt=0.1, sites_per_delay=10,
     )
     assert any(Path(p).name == "emission_chain.csv" for p in written)
+    prov = json.loads((tmp_path / "provenance.json").read_text())
+    assert "decay_solver" not in prov  # no model curve ran
 
 
 def test_run_convergence_errors_shrink(tmp_path):
@@ -134,6 +223,8 @@ def test_run_convergence_errors_shrink(tmp_path):
     rows = np.genfromtxt(path, delimiter=",", names=True)
     errs = np.atleast_1d(rows["max_error"])
     assert errs[-1] < errs[0]
+    prov = json.loads((tmp_path / "provenance.json").read_text())
+    assert prov["decay_solver"] == {"method": "amplitude", "dim": 13}
 
 
 def test_run_purcell_rates(tmp_path):
@@ -143,6 +234,8 @@ def test_run_purcell_rates(tmp_path):
     assert np.all(
         np.abs(rows["rate_dde"] - rows["rate_theory"]) <= 0.02 * rows["rate_theory"]
     )
+    prov = json.loads((tmp_path / "provenance.json").read_text())
+    assert prov["decay_solver"] == {"method": "amplitude", "dim": 3}
 
 
 def test_run_steady_sweep_outputs(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from mirrorqed.hilbert import CompositeSpace, sigma_minus, sigma_x
 from mirrorqed.lindblad import build_liouvillian, integrate_me
-from mirrorqed.mcwf import mcwf_evolve
+from mirrorqed.mcwf import effective_hamiltonian, mcwf_evolve
 
 
 def test_qubit_decay_within_stderr():
@@ -132,3 +132,11 @@ def test_input_validation():
         mcwf_evolve(np.zeros((2, 2)), [], psi0, t, n_traj=0, seed=0)
     with pytest.raises(ValueError):  # a projector matrix, not its diagonal
         mcwf_evolve(np.zeros((2, 2)), [], psi0, t, n_traj=1, seed=0, leak_projector=np.eye(2))
+    with pytest.raises(ValueError):
+        mcwf_evolve(np.zeros((2, 2)), [], psi0, t, n_traj=1, seed=0, substeps=0)
+
+
+def test_effective_hamiltonian_adds_half_rate_loss():
+    H = sigma_x().astype(complex)
+    Heff = effective_hamiltonian(H, [(sigma_minus(), 0.6), (sigma_x(), 0.0)])
+    assert np.allclose(Heff.toarray(), H - 0.3j * np.diag([0.0, 1.0]))
