@@ -11,24 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
+from .hilbert import CompositeSpace, destroy, number_op, sigma_plus
+from .mcwf import uniform_step
 from .results import EvolutionResult
 
 K_WINDOW = (0.2 * math.pi, 0.8 * math.pi)
-SECTOR_DIM_CAP = 2_000_000
 
 
 class CalibrationError(ValueError):
     """No dispersion branch lands the resonant wavevector inside the band window."""
-
-
-class SectorSizeError(ValueError):
-    """Requested excitation sector exceeds the dimension cap."""
 
 
 @dataclass(frozen=True)
@@ -121,88 +117,31 @@ def calibrate_chain(
     )
 
 
-def _sector_basis(N: int, max_excitations: int) -> list:
-    """States (atom_bit, photon_sites) with at most max_excitations quanta.
-
-    photon_sites is a sorted tuple of occupied sites (repeats = multiple
-    photons on one site).
-    """
-    if max_excitations not in (1, 2):
-        raise ValueError("max_excitations must be 1 or 2")
-    basis = [(0, ())]
-    basis.append((1, ()))
-    for n in range(1, N + 1):
-        basis.append((0, (n,)))
-    if max_excitations == 2:
-        for n in range(1, N + 1):
-            basis.append((1, (n,)))
-        for pair in combinations_with_replacement(range(1, N + 1), 2):
-            basis.append((0, pair))
-    return basis
-
-
-def _apply_annihilation(photons: tuple, site: int):
-    """(factor, new_tuple) for a_site acting on a sorted photon tuple."""
-    count = photons.count(site)
-    if count == 0:
-        return 0.0, photons
-    idx = photons.index(site)
-    return math.sqrt(count), photons[:idx] + photons[idx + 1 :]
-
-
-def _apply_creation(photons: tuple, site: int):
-    count = photons.count(site)
-    new = tuple(sorted(photons + (site,)))
-    return math.sqrt(count + 1), new
+def _site_hamiltonian(spec: ChainSpec) -> sp.dia_matrix:
+    """Single-photon hopping matrix over sites 1..N (atom excluded)."""
+    hop = np.full(spec.N - 1, -spec.J)
+    return sp.diags([hop, np.full(spec.N, spec.omega_c), hop], [-1, 0, 1])
 
 
 def sector_hamiltonian(spec: ChainSpec, max_excitations: int):
-    """Sparse Hamiltonian on the bounded-excitation basis.
+    """Sparse Hamiltonian on the sector with at most max_excitations quanta.
 
-    Returns (H, basis, index).  Energies are measured from the atom frequency
-    (omega0 = 0 by calibration), so matrix norms stay moderate.
+    Returns (H, space).  The sector is CompositeSpace(N, m, m) with m =
+    max_excitations: the atom is the qubit and site n is mode n - 1.
+    H = omega0 n_atom + dGamma(h_site) + g_disc (sigma+ a_n0 + h.c.), with
+    energies measured from the atom frequency (omega0 = 0 by calibration), so
+    matrix norms stay moderate.
     """
-    basis = _sector_basis(spec.N, max_excitations)
-    if len(basis) > SECTOR_DIM_CAP:
-        raise SectorSizeError(f"sector dimension {len(basis)} exceeds cap")
-    index = {b: i for i, b in enumerate(basis)}
-    rows, cols, vals = [], [], []
-
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
-    for i, (atom, photons) in enumerate(basis):
-        diag = spec.omega0 * atom + spec.omega_c * len(photons)
-        if diag != 0.0:
-            add(i, i, diag)
-        # hopping -J sum (a_{n+1}^+ a_n + h.c.)
-        for site in set(photons):
-            f1, reduced = _apply_annihilation(photons, site)
-            for nb in (site - 1, site + 1):
-                if 1 <= nb <= spec.N:
-                    f2, created = _apply_creation(reduced, nb)
-                    add(index[(atom, created)], i, -spec.J * f1 * f2)
-        # atom-field coupling g (sigma+ a_{n0} + h.c.)
-        if atom == 0 and spec.n0 in photons:
-            f1, reduced = _apply_annihilation(photons, spec.n0)
-            add(index[(1, reduced)], i, spec.g_disc * f1)
-        if atom == 1:
-            f2, created = _apply_creation(photons, spec.n0)
-            j = index.get((0, created))
-            if j is not None:
-                add(j, i, spec.g_disc * f2)
-    H = sp.csr_matrix(
-        (np.array(vals, dtype=complex), (rows, cols)), shape=(len(basis), len(basis))
+    m = max_excitations
+    space = CompositeSpace(spec.N, m, m)
+    a_n0 = space.embed(destroy(m + 1), space.mode_factor(spec.n0 - 1))
+    absorb = space.embed(sigma_plus(), 0) @ a_n0
+    H = (
+        spec.omega0 * space.embed(number_op(2), 0)
+        + space.one_body(_site_hamiltonian(spec))
+        + spec.g_disc * (absorb + absorb.conj().T)
     )
-    return H, basis, index
-
-
-def initial_state(spec: ChainSpec, basis, index, label=(1, ())) -> np.ndarray:
-    psi = np.zeros(len(basis), dtype=complex)
-    psi[index[tuple(label)]] = 1.0
-    return psi
+    return H.tocsr(), space
 
 
 def evolve_sector(
@@ -213,51 +152,42 @@ def evolve_sector(
 ) -> EvolutionResult:
     """Exact propagation in the bounded-excitation sector.
 
-    psi0 is a vector on the sector basis or a dict {state_label: amplitude};
-    t_grid is in units of 1/Gamma (converted to lattice time internally).
-    Warns loudly if the window exceeds the wrap-around horizon.
+    psi0 is a dict {(atom, sites): amplitude}, where sites lists the occupied
+    sites (1..N, repeated for several photons on one site).  t_grid is
+    uniform and in units of 1/Gamma (converted to lattice time internally).
+    Raises if the window exceeds the wrap-around horizon.
     """
-    H, basis, index = sector_hamiltonian(spec, max_excitations)
-    if isinstance(psi0, dict):
-        psi = np.zeros(len(basis), dtype=complex)
-        for label, amp in psi0.items():
-            psi[index[(label[0], tuple(label[1]))]] = amp
-    else:
-        psi = np.asarray(psi0, dtype=complex)
+    H, space = sector_hamiltonian(spec, max_excitations)
+    psi = np.zeros(space.dim, dtype=complex)
+    for (atom, sites), amp in psi0.items():
+        # photons per site 1..N; a site outside the chain raises
+        counts = np.bincount(np.asarray(sites, dtype=int) - 1, minlength=spec.N)
+        psi += amp * space.basis_state([atom, *counts])
     t_grid = np.asarray(t_grid, dtype=float)
+    uniform_step(t_grid)
     t_lat = t_grid / spec.Gamma
     if t_lat[-1] > spec.horizon():
         raise ValueError(
             f"window {t_lat[-1]:.1f} exceeds the no-wrap horizon {spec.horizon():.1f}; "
             "recalibrate with a larger t_max"
         )
-    diffs = np.diff(t_lat)
-    if len(t_lat) > 1 and np.allclose(diffs, diffs[0], rtol=1e-12, atol=0):
-        states = expm_multiply(
-            -1j * H, psi, start=t_lat[0], stop=t_lat[-1], num=len(t_lat), endpoint=True
-        )
-    else:
-        states = np.array([expm_multiply(-1j * H * tl, psi) for tl in t_lat])
+    states = expm_multiply(
+        -1j * H, psi, start=t_lat[0], stop=t_lat[-1], num=len(t_lat), endpoint=True
+    )
 
-    atom_mask = np.array([b[0] for b in basis], dtype=float)
-    blockA = np.array(
-        [sum(1 for s in b[1] if s <= spec.N_A_sites) for b in basis], dtype=float
-    )
-    blockB = np.array(
-        [sum(1 for s in b[1] if s > spec.N_A_sites) for b in basis], dtype=float
-    )
+    occ = space._occ
     p = np.abs(states) ** 2
     energy = np.array([np.real(np.vdot(s, H @ s)) for s in states])
     return EvolutionResult(
         t=t_grid,
         observables={
-            "atom_population": p @ atom_mask,
-            "photons_block_A": p @ blockA,
-            "photons_block_B": p @ blockB,
+            "atom_population": p @ occ[:, 0],
+            "photons_block_A": p @ occ[:, 1 : spec.N_A_sites + 1].sum(axis=1),
+            "photons_block_B": p @ occ[:, spec.N_A_sites + 1 :].sum(axis=1),
             "norm": p.sum(axis=1),
             "energy": energy,
         },
-        meta={"max_excitations": max_excitations, "dim": len(basis)},
+        meta={"max_excitations": max_excitations, "dim": space.dim},
     )
 
 
@@ -290,9 +220,7 @@ def block_transform(spec: ChainSpec) -> BlockTransformReport:
     coupling xi_m * chi_m'.
     """
     NA, NB = spec.N_A_sites, spec.N - spec.N_A_sites
-    # single-photon hopping matrix over sites 1..N (atom excluded)
-    main = np.full(spec.N, spec.omega_c)
-    Hsite = np.diag(main) - spec.J * (np.eye(spec.N, k=1) + np.eye(spec.N, k=-1))
+    Hsite = _site_hamiltonian(spec).toarray()
     UA = _sine_modes(NA)
     UB = _sine_modes(NB)
     U = np.zeros((spec.N, spec.N))

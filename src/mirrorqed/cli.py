@@ -19,6 +19,7 @@ from .experiments import (
     TruncationAbort,
     run_experiment,
 )
+from .hilbert import SectorSizeError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,7 +86,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         written = run_experiment(config)
-    except ConfigError as exc:
+    except (ConfigError, SectorSizeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TruncationAbort as exc:

@@ -142,6 +142,12 @@ class ExperimentConfig:
             raise ConfigError("field 'physical.Gamma_tau': must be positive")
         if self.dt <= 0 or self.t_max <= 0:
             raise ConfigError("field 'solver.dt'/'solver.t_max': must be positive")
+        needs_delay = self.experiment in ("emission", "convergence")
+        if needs_delay and self.t_max < self.Gamma_tau:
+            raise ConfigError(
+                "field 'solver.t_max': the delay-equation reference needs at "
+                f"least one delay, physical.Gamma_tau = {self.Gamma_tau}"
+            )
         if self.n_traj < 1:
             raise ConfigError("field 'solver.n_traj': must be >= 1")
         if self.substeps < 1:
@@ -440,27 +446,13 @@ def run_purcell(config: ExperimentConfig, out_dir) -> list:
 def qubit_steady_state(Omega_D: float, kappa: float, kappa_phi: float):
     """Steady state of a resonantly driven qubit with decay and pure dephasing.
 
-    Returns (rho_ee, |rho_eg|); the drive must be accompanied by some decay
-    for the state to be unique.  Solved as a dense 4x4 system: the engine's
-    sparse path is overkill at this size and the overlay sweeps thousands of
-    points.
+    Returns (rho_ee, |rho_eg|) from the Bloch equations' fixed point, with
+    coherence decay rate gamma_2 = (kappa + kappa_phi)/2; the drive must be
+    accompanied by some decay for the state to be unique.
     """
-    sm = sigma_minus().astype(complex)
-    sp_ = sm.conj().T
-    H = 0.5 * Omega_D * (sm + sp_)
-    eye = np.eye(2)
-    Lv = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
-    for J, rate in ((sm, kappa), (sp_ @ sm, kappa_phi)):
-        if rate > 0:
-            JdJ = J.conj().T @ J
-            Lv += rate * (
-                np.kron(J, J.conj())
-                - 0.5 * np.kron(JdJ, eye)
-                - 0.5 * np.kron(eye, JdJ.T)
-            )
-    M = np.vstack([np.eye(4)[[0, 3]].sum(axis=0), Lv[1:]])  # trace row + L
-    rho = np.linalg.solve(M, np.array([1.0, 0, 0, 0], dtype=complex)).reshape(2, 2)
-    return float(rho[1, 1].real), float(abs(rho[0, 1]))
+    rho_ee = Omega_D**2 / (kappa * (kappa + kappa_phi) + 2.0 * Omega_D**2)
+    gamma_2 = 0.5 * (kappa + kappa_phi)
+    return rho_ee, 0.5 * Omega_D * abs(1.0 - 2.0 * rho_ee) / gamma_2
 
 
 def markovian_overlay(n: int = 20) -> dict:

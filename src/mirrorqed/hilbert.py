@@ -3,8 +3,10 @@
 A :class:`CompositeSpace` enumerates occupation tuples ``(s, n_1, ..., n_M)``
 with the qubit first and the modes in ascending-nu order.  An optional cap on
 the total excitation number keeps single- and few-excitation problems at
-their natural dimension instead of the full Fock product.  Operators on the
-space are lifted straight into CSR from the basis index.
+their natural dimension instead of the full Fock product.  The basis is
+unranked from a completion-count table, which also gives its dimension before
+anything is allocated, and operators on the space are lifted straight into CSR
+through the ranks of the occupations they reach.
 """
 
 from __future__ import annotations
@@ -17,6 +19,15 @@ import scipy.sparse as sp
 
 class DimensionMismatchError(ValueError):
     """Local operator dimension does not match the targeted factor."""
+
+
+class SectorSizeError(ValueError):
+    """The space's tables would exceed the entry cap."""
+
+
+# Entries above which a space's occupation table (states x factors) or its
+# rank-offset table is refused, before either is allocated.
+_MAX_TABLE_ENTRIES = 50_000_000
 
 
 class CompositeSpace:
@@ -37,19 +48,16 @@ class CompositeSpace:
         if max_excitations is not None:
             cap = min(cap, max_excitations)
         self._cap = cap
-        # grow the basis factor by factor in lexicographic order, keeping only
-        # occupations with bounded total (the full product is exponential in
-        # the number of modes)
-        occ = np.zeros((1, 0), dtype=np.int64)
-        for d in self.factor_dims:
-            levels = np.tile(np.arange(d), len(occ))[:, None]
-            occ = np.hstack([np.repeat(occ, d, axis=0), levels])
-            occ = occ[occ.sum(axis=1) <= cap]
-        self._occ = occ
-        self._offset = _rank_offsets(self.factor_dims, cap)
-        self.basis = tuple(map(tuple, occ.tolist()))
-        self.index = {o: i for i, o in enumerate(self.basis)}
-        self.dim = len(self.basis)
+        self._offset, self._count = _rank_offsets(self.factor_dims, cap)
+        self.dim = int(self._count[0, cap])
+        if self.dim * self.n_factors > _MAX_TABLE_ENTRIES:
+            raise SectorSizeError(
+                f"at least {self.dim} states of {self.n_factors} factors: the "
+                f"occupation table would exceed its cap of {_MAX_TABLE_ENTRIES} entries"
+            )
+        # the kept occupations in lexicographic order, read off their ranks
+        self._occ = self._unrank(np.arange(self.dim))
+        self.basis = tuple(map(tuple, self._occ.tolist()))
 
     @property
     def n_factors(self) -> int:
@@ -62,20 +70,14 @@ class CompositeSpace:
             f"max_excitations={cap}, dim={self.dim})"
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CompositeSpace)
-            and self.n_modes == other.n_modes
-            and self.n_max == other.n_max
-            and self.max_excitations == other.max_excitations
-        )
-
-    def __hash__(self):
-        return hash((self.n_modes, self.n_max, self.max_excitations))
-
     def basis_state(self, occ) -> np.ndarray:
+        occ = np.asarray(occ, dtype=np.int64)
+        if occ.shape != (self.n_factors,) or not (
+            np.all((0 <= occ) & (occ < self.factor_dims)) and occ.sum() <= self._cap
+        ):
+            raise ValueError(f"{tuple(occ.tolist())} is not a basis state of {self!r}")
         v = np.zeros(self.dim, dtype=complex)
-        v[self.index[tuple(occ)]] = 1.0
+        v[self._rank(occ[None])] = 1.0
         return v
 
     def vacuum(self, excited: bool = False) -> np.ndarray:
@@ -87,15 +89,44 @@ class CompositeSpace:
         return self._occ.sum(axis=1)
 
     def _rank(self, occ: np.ndarray) -> np.ndarray:
-        """Basis indices of kept occupation rows ``occ`` (shape (m, n_factors)).
+        """Basis indices of kept occupation rows ``occ`` (shape (m, n_factors))."""
+        rows, k = np.nonzero(occ)  # row by row, factors in order
+        return self._rank_entries(len(occ), rows, k, occ[rows, k])
 
-        Each factor adds the number of kept states that agree on the earlier
-        factors and hold fewer quanta here, read from a completion-count table;
-        every partial sum stays below ``dim``.
+    def _rank_entries(self, m: int, rows, k, n) -> np.ndarray:
+        """Basis indices of m kept occupations from their occupied entries.
+
+        Entry e puts n[e] quanta on factor k[e] of row rows[e], row by row with
+        the factors in order; it adds the count of kept states that agree on
+        the earlier factors and hold fewer quanta here (an empty factor adds 0).
         """
-        spent = np.cumsum(occ, axis=1) - occ
-        factors = np.arange(self.n_factors)
-        return self._offset[factors, self._cap - spent, occ].sum(axis=1)
+        spent = np.cumsum(n) - n
+        spent -= spent[np.searchsorted(rows, rows)]  # on earlier factors of the row
+        rank = np.zeros(m, dtype=np.int64)
+        np.add.at(rank, rows, self._offset[k, self._cap - spent, n])
+        return rank
+
+    def _unrank(self, idx: np.ndarray) -> np.ndarray:
+        """Occupation rows of the basis indices ``idx``; inverse of ``_rank``.
+
+        What is left of an index is below count[k, budget] exactly when the
+        factors before k are empty, so each round finds every row's next
+        occupied factor; its occupation is the largest n whose offset fits.
+        """
+        occ = np.zeros((len(idx), self.n_factors), dtype=np.int64)
+        rows, rest = np.arange(len(idx)), np.array(idx, dtype=np.int64)
+        budget = np.full(len(idx), self._cap)
+        levels = np.arange(1, self._offset.shape[2])
+        while len(rows):
+            k = (self._count[:, budget] > rest).sum(axis=0) - 1
+            more = k < self.n_factors
+            rows, rest, budget, k = rows[more], rest[more], budget[more], k[more]
+            offsets = self._offset[k[:, None], budget[:, None], levels]
+            n = (offsets <= rest[:, None]).sum(axis=1)
+            rest -= self._offset[k, budget, n]
+            budget -= n
+            occ[rows, k] = n
+        return occ
 
     def embed(self, local: np.ndarray, factor: int) -> sp.csr_matrix:
         """Lift a single-factor operator; identity on all other factors.
@@ -126,6 +157,45 @@ class CompositeSpace:
             shape=(self.dim, self.dim),
         )
 
+    def one_body(self, h) -> sp.csr_matrix:
+        """Lift sum_ij h[i, j] a_i+ a_j over the modes (h is n_modes x n_modes).
+
+        Equal to sum_ij h[i, j] embed(a+, i) @ embed(a, j) with the truncated
+        ladder operators: a hop into a mode at n_max is dropped, and as the
+        excitation number is conserved the cap drops nothing.
+        """
+        h = sp.csr_matrix(h)
+        if h.shape != (self.n_modes, self.n_modes):
+            raise DimensionMismatchError(
+                f"{self.n_modes} modes, one-body matrix is {h.shape}"
+            )
+        n = self._occ[:, 1:]
+        # one term per state s, occupied mode j and entry h[i, j]: row p of
+        # pick @ h.T is column j_p of h
+        s, j = np.nonzero(n)
+        at = np.arange(len(s))
+        pick = sp.csr_matrix((np.ones(len(s)), (at, j)), shape=(len(s), self.n_modes))
+        terms = (pick @ h.T).tocoo()
+        s, i, j, val = s[terms.row], terms.col, j[terms.row], terms.data
+        hop_in = (i != j).astype(np.int64)  # 0 where a_i+ a_i counts photons
+        room = n[s, i] + hop_in <= self.n_max
+        s, i, j, val, hop_in = s[room], i[room], j[room], val[room], hop_in[room]
+        # the occupations reached, one sparse row per term
+        at, one = np.arange(len(s)), np.ones(len(s), dtype=np.int64)
+        shape = (len(s), self.n_factors)
+        moved = (
+            sp.csr_matrix(self._occ)[s]
+            + sp.csr_matrix((one, (at, 1 + i)), shape=shape)
+            - sp.csr_matrix((one, (at, 1 + j)), shape=shape)
+        )
+        moved.sort_indices()
+        moved = moved.tocoo()  # row by row, factors in order
+        rows = self._rank_entries(len(s), moved.row, moved.col, moved.data)
+        amp = val * np.sqrt(n[s, j] * (n[s, i] + hop_in))
+        out = sp.csr_matrix((amp, (rows, s)), shape=(self.dim, self.dim), dtype=complex)
+        out.eliminate_zeros()  # diagonal terms of several modes may cancel
+        return out
+
     def mode_factor(self, mode: int) -> int:
         """Factor index of the mode at storage position ``mode`` (0-based)."""
         if not 0 <= mode < self.n_modes:
@@ -149,35 +219,43 @@ class CompositeSpace:
 
     def ptrace_qubit(self, rho: np.ndarray) -> np.ndarray:
         """Reduced 2x2 qubit state."""
-        out = np.zeros((2, 2), dtype=complex)
-        for i, occ_i in enumerate(self.basis):
-            rest = occ_i[1:]
-            other = (1 - occ_i[0],) + rest
-            out[occ_i[0], occ_i[0]] += rho[i, i]
-            j = self.index.get(other)
-            if j is not None and occ_i[0] == 1:
-                out[1, 0] += rho[i, j]
-                out[0, 1] += rho[j, i]
+        atom = self._occ[:, 0]
+        excited = np.flatnonzero(atom)
+        ground = self._rank(self._occ[excited] - (np.arange(self.n_factors) == 0))
+        pop = np.diagonal(rho)
+        out = np.empty((2, 2), dtype=complex)
+        out[0] = pop[atom == 0].sum(), rho[ground, excited].sum()
+        out[1] = rho[excited, ground].sum(), pop[excited].sum()
         return out
 
 
-def _rank_offsets(factor_dims: tuple, cap: int) -> np.ndarray:
-    """offset[k, b, n]: kept states below occupation n of factor k, budget b.
+def _rank_offsets(factor_dims: tuple, cap: int):
+    """(offset, count): the tables that rank the kept states lexicographically.
 
-    With b quanta left for factors k, k+1, ..., choosing n at factor k skips
-    the completions of every smaller choice v < n: those with at most b - v
-    quanta on the later factors.
+    count[k, b] counts the completions of factors k, k+1, ... with at most b
+    quanta.  offset[k, b, n] counts the kept states below occupation n of
+    factor k, budget b: choosing n skips the completions of every smaller
+    choice v < n, those with at most b - v quanta on the later factors.  An
+    impossible occupation (n > b, or n past the factor's dimension) holds
+    int64's maximum.  Counts saturate just above the entry cap, so an
+    oversized space is refused instead of overflowing int64.
     """
     k_max = len(factor_dims)
-    completions = np.ones(cap + 1, dtype=np.int64)  # no factors left
-    offset = np.zeros((k_max, cap + 1, max(factor_dims)), dtype=np.int64)
+    if k_max * (cap + 1) * max(factor_dims) > _MAX_TABLE_ENTRIES:
+        raise SectorSizeError("the rank-offset table would exceed its entry cap")
+    count = np.ones((k_max + 1, cap + 1), dtype=np.int64)  # row k_max: no factors
+    offset = np.full((k_max, cap + 1, max(factor_dims)), np.iinfo(np.int64).max)
+    offset[:, :, 0] = 0
     budgets = np.arange(cap + 1)
     for k in range(k_max - 1, -1, -1):
         for n in range(1, factor_dims[k]):
-            offset[k, n:, n] = offset[k, n:, n - 1] + completions[1 : cap + 2 - n]
+            offset[k, n:, n] = offset[k, n:, n - 1] + count[k + 1, 1 : cap + 2 - n]
         top = np.minimum(budgets, factor_dims[k] - 1)
-        completions = offset[k, budgets, top] + completions[budgets - top]
-    return offset
+        count[k] = np.minimum(
+            offset[k, budgets, top] + count[k + 1, budgets - top],
+            _MAX_TABLE_ENTRIES + 1,
+        )
+    return offset, count
 
 
 def as_csr(op) -> sp.csr_matrix:

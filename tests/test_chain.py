@@ -11,6 +11,7 @@ from mirrorqed.chain import (
     calibrate_chain,
     continuum_couplings,
     evolve_sector,
+    sector_hamiltonian,
 )
 from mirrorqed.dde import analytic_series
 
@@ -122,3 +123,49 @@ def test_photon_blocks_partition_the_emission():
         + res.observables["photons_block_B"]
     )
     assert np.allclose(total, 1.0, atol=1e-10)
+
+
+def test_single_excitation_hamiltonian_is_the_site_matrix():
+    spec = calibrate_chain(Gamma=1.0, tau=1.0, phi=math.pi / 2, sites_per_delay=6,
+                           t_max=2.0)
+    H, space = sector_hamiltonian(spec, 1)
+    # assembled by hand on (vacuum, atom, site 1, ..., site N)
+    N = spec.N
+    ref = np.zeros((N + 2, N + 2))
+    ref[1, 1] = spec.omega0
+    for n in range(1, N + 1):
+        ref[1 + n, 1 + n] = spec.omega_c
+        if n < N:
+            ref[1 + n, 2 + n] = ref[2 + n, 1 + n] = -spec.J
+    ref[1, 1 + spec.n0] = ref[1 + spec.n0, 1] = spec.g_disc
+    labels = [(0,) + (0,) * N, (1,) + (0,) * N]
+    labels += [(0,) + tuple(np.eye(N, dtype=int)[n]) for n in range(N)]
+    order = [space.basis.index(occ) for occ in labels]
+    assert space.dim == N + 2
+    assert np.array_equal(H.toarray()[np.ix_(order, order)], ref)
+
+
+def test_sector_labels_place_photons_on_sites():
+    spec = calibrate_chain(Gamma=1.0, tau=1.0, phi=math.pi, sites_per_delay=8,
+                           t_max=2.0)
+    t = np.linspace(0.0, 0.5, 3)
+    # two photons on site n0: the excitation number stays 2
+    res = evolve_sector(spec, {(0, (spec.n0, spec.n0)): 1.0}, t, max_excitations=2)
+    total = (
+        res.observables["atom_population"]
+        + res.observables["photons_block_A"]
+        + res.observables["photons_block_B"]
+    )
+    assert res.observables["photons_block_A"][0] == pytest.approx(2.0)
+    assert np.allclose(total, 2.0, atol=1e-10)
+    with pytest.raises(ValueError):
+        evolve_sector(spec, {(0, (0,)): 1.0}, t)  # site 0 is the mirror
+    with pytest.raises(ValueError):
+        evolve_sector(spec, {(0, (1, 2)): 1.0}, t, max_excitations=1)
+
+
+def test_sector_evolution_rejects_nonuniform_grid():
+    spec = calibrate_chain(Gamma=1.0, tau=1.0, phi=math.pi, sites_per_delay=8,
+                           t_max=2.0)
+    with pytest.raises(ValueError, match="uniform"):
+        evolve_sector(spec, EXC, np.array([0.0, 0.5, 1.5]))

@@ -1,5 +1,6 @@
 """Experiment runners: configs, outputs, determinism."""
 
+import itertools
 import json
 import math
 import re
@@ -20,6 +21,8 @@ from mirrorqed.experiments import (
     qubit_steady_state,
     run_experiment,
 )
+from mirrorqed.hilbert import sigma_minus, sigma_plus, sigma_x
+from mirrorqed.lindblad import build_liouvillian, steady_state
 
 
 def test_config_defaults_and_rejections():
@@ -88,6 +91,30 @@ def test_cli_rejects_bad_solver_fields(tmp_path, solver):
     p = tmp_path / "c.yaml"
     p.write_text(yaml.safe_dump({"experiment": "emission", "solver": solver}))
     assert cli.main(["emission", "--config", str(p), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["emission", "convergence"])
+def test_cli_rejects_t_max_shorter_than_the_delay(tmp_path, capsys, command):
+    p = tmp_path / "c.yaml"
+    p.write_text(yaml.safe_dump({
+        "experiment": command,
+        "physical": {"Gamma_tau": 2.0},
+        "solver": {"t_max": 1.0},
+    }))
+    assert cli.main([command, "--config", str(p), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "solver.t_max" in capsys.readouterr().err
+
+
+def test_cli_refuses_an_oversized_chain_as_config_error(tmp_path, capsys):
+    # 3000 sites per delay: a one-excitation chain of about 25000 sites
+    p = tmp_path / "c.yaml"
+    p.write_text(yaml.safe_dump({
+        "experiment": "emission",
+        "solver": {"dt": 0.1, "t_max": 6.0, "sites_per_delay": 3000},
+    }))
+    argv = ["emission", "--backend", "chain", "--config", str(p), "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "occupation table would exceed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("pulse", [None, {"W": 1.0, "t0": 3.0, "n_ph": 0.2, "delta_in": 0.1}])
@@ -163,6 +190,17 @@ def test_qubit_steady_state_closed_form():
     assert p_ee == pytest.approx(Omega**2 / (2 * Omega**2 + kappa**2), abs=1e-12)
     p_deph, _ = qubit_steady_state(Omega, kappa, 2.0)
     assert p_deph < p_ee  # dephasing only lowers the resonant excitation
+
+
+def test_qubit_steady_state_matches_liouvillian_solve():
+    grid = itertools.product([0.0, 0.3, 1.1, 4.0], [0.05, 0.7, 3.0], [0.0, 0.4, 2.5])
+    for Omega, kappa, kappa_phi in grid:
+        H = 0.5 * Omega * sigma_x()
+        jumps = [(sigma_minus(), kappa), (sigma_plus() @ sigma_minus(), kappa_phi)]
+        rho = steady_state(build_liouvillian(H, jumps))
+        p_ee, coh = qubit_steady_state(Omega, kappa, kappa_phi)
+        assert p_ee == pytest.approx(rho[1, 1].real, abs=1e-12)
+        assert coh == pytest.approx(abs(rho[0, 1]), abs=1e-12)
 
 
 def test_markovian_overlay_is_capped():

@@ -1,6 +1,7 @@
 """Composite Hilbert space: basis enumeration, embedding, projectors."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from mirrorqed.hilbert import (
     CompositeSpace,
     DimensionMismatchError,
+    SectorSizeError,
     destroy,
     number_op,
     sigma_minus,
@@ -76,7 +78,7 @@ def test_embed_on_capped_space_is_projected_kron():
     sp_cap = CompositeSpace(n_modes=2, n_max=2, max_excitations=2)
     P = np.zeros((sp_cap.dim, sp_full.dim))
     for i, occ in enumerate(sp_cap.basis):
-        P[i, sp_full.index[occ]] = 1.0
+        P[i, sp_full.basis.index(occ)] = 1.0
     a = destroy(3)
     assert np.allclose(sp_cap.embed(a, 1).toarray(), P @ sp_full.embed(a, 1) @ P.T)
 
@@ -121,13 +123,17 @@ def test_embed_on_many_mode_capped_space_stays_in_range():
     assert ad.indices.max() < space.dim
     assert np.all(ad.data != 0)
     # every kept state with room below the cap gains one photon in the last mode
-    for i in (0, space.index[(1,) + (0,) * 41], space.index[(0, 1) + (0,) * 40]):
+    for i in (
+        0,
+        space.basis.index((1,) + (0,) * 41),
+        space.basis.index((0, 1) + (0,) * 40),
+    ):
         occ = space.basis[i]
         target = occ[:-1] + (occ[-1] + 1,)
         col = ad[:, i].toarray().ravel()
-        assert np.flatnonzero(col).tolist() == [space.index[target]]
-        assert col[space.index[target]] == pytest.approx(1.0)
-    assert ad[:, space.index[(1, 1) + (0,) * 40]].nnz == 0  # already at the cap
+        assert np.flatnonzero(col).tolist() == [space.basis.index(target)]
+        assert col[space.basis.index(target)] == pytest.approx(1.0)
+    assert ad[:, space.basis.index((1, 1) + (0,) * 40)].nnz == 0  # already at the cap
 
 
 def test_embed_rejects_wrong_local_dimension():
@@ -139,9 +145,9 @@ def test_embed_rejects_wrong_local_dimension():
 def test_vacuum_and_basis_state():
     sp = CompositeSpace(n_modes=2, n_max=1, max_excitations=1)
     v = sp.vacuum()
-    assert v[sp.index[(0, 0, 0)]] == 1.0
+    assert v[sp.basis.index((0, 0, 0))] == 1.0
     e = sp.vacuum(excited=True)
-    assert e[sp.index[(1, 0, 0)]] == 1.0
+    assert e[sp.basis.index((1, 0, 0))] == 1.0
     assert np.vdot(v, e) == 0.0
 
 
@@ -166,3 +172,84 @@ def test_ptrace_qubit():
     psi2 = np.kron(q, [1.0, 0.0])
     red2 = sp.ptrace_qubit(np.outer(psi2, psi2.conj()))
     assert np.allclose(red2, 0.5 * np.ones((2, 2)))
+
+
+def test_ptrace_qubit_on_capped_space_matches_loop():
+    space = CompositeSpace(n_modes=2, n_max=2, max_excitations=2)
+    rng = np.random.default_rng(4)
+    shape = (space.dim, space.dim)
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rho = m @ m.conj().T
+    ref = np.zeros((2, 2), dtype=complex)
+    for i, occ in enumerate(space.basis):
+        for j, other in enumerate(space.basis):
+            if occ[1:] == other[1:]:
+                ref[occ[0], other[0]] += rho[i, j]
+    assert np.allclose(space.ptrace_qubit(rho), ref, rtol=1e-13, atol=0)
+
+
+def test_basis_state_rejects_states_outside_the_space():
+    space = CompositeSpace(n_modes=2, n_max=2, max_excitations=2)
+    for occ in ((1, 1, 1), (0, 3, 0), (2, 0, 0), (0, -1, 0), (0, 0)):
+        with pytest.raises(ValueError):
+            space.basis_state(occ)
+
+
+@given(
+    n_modes=st.integers(1, 4),
+    n_max=st.integers(0, 3),
+    cap=st.none() | st.integers(0, 5),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_one_body_equals_sum_of_ladder_products(n_modes, n_max, cap, data):
+    space = CompositeSpace(n_modes, n_max, max_excitations=cap)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (n_modes, n_modes)
+    # a random sparsity pattern; the diagonal is always drawn in
+    h = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (
+        (rng.random(shape) < 0.6) | np.eye(n_modes, dtype=bool)
+    )
+    a = destroy(n_max + 1)
+    ref = np.zeros((space.dim, space.dim), dtype=complex)
+    for i in range(n_modes):
+        for j in range(n_modes):
+            ad_i = space.embed(a.conj().T, space.mode_factor(i))
+            ref += h[i, j] * (ad_i @ space.embed(a, space.mode_factor(j))).toarray()
+    built = space.one_body(h)
+    assert isinstance(built, scipy.sparse.csr_matrix)
+    assert np.all(built.data != 0)
+    assert np.allclose(built.toarray(), ref, rtol=1e-13, atol=1e-13)
+
+
+def test_one_body_drops_hops_into_a_full_mode():
+    # n_max = 1 and no cap: |0, 1, 1> has nowhere to hop
+    space = CompositeSpace(n_modes=2, n_max=1)
+    hop = space.one_body(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert hop[:, space.basis.index((0, 1, 1))].nnz == 0
+    col = hop[:, space.basis.index((0, 1, 0))].toarray().ravel()
+    assert np.flatnonzero(col).tolist() == [space.basis.index((0, 0, 1))]
+
+
+def test_one_body_rejects_wrong_shape():
+    with pytest.raises(DimensionMismatchError):
+        CompositeSpace(n_modes=3, n_max=1).one_body(np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "n_modes, n_max, cap",
+    [
+        (5000, 2, 2),  # 12.5 million states with 5001 factors each
+        (5000, 3, None),  # the rank-offset table alone is too large
+        (41, 3, None),  # 2 * 4^41 states: the count exceeds int64
+    ],
+)
+def test_oversized_space_is_refused_before_allocating(n_modes, n_max, cap):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SectorSizeError):
+            CompositeSpace(n_modes, n_max, max_excitations=cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
