@@ -7,7 +7,6 @@ abort.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import __version__
@@ -45,11 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--backend", choices=BACKENDS, help="solver backend (overrides config)"
         )
-        p.add_argument(
-            "--threads",
-            type=int,
-            help="BLAS thread cap (applied via OMP_NUM_THREADS)",
-        )
     return parser
 
 
@@ -76,9 +70,6 @@ def load_config(args) -> ExperimentConfig:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        os.environ["OMP_NUM_THREADS"] = str(args.threads)
-        os.environ["OPENBLAS_NUM_THREADS"] = str(args.threads)
     try:
         config = load_config(args)
     except (ConfigError, FileNotFoundError) as exc:

@@ -19,7 +19,7 @@ from scipy.linalg import expm
 
 from . import __version__
 from .dde import fit_decay_rate, markovian_rate, solve_delay_ode
-from .hilbert import sigma_minus, sigma_plus
+from .hilbert import CompositeSpace, sigma_minus, sigma_plus
 from .lindblad import (
     DriveDissipationSpec,
     atom_op,
@@ -493,10 +493,7 @@ def model_steady_state(
     )
     H = build_hamiltonian(model, drive, space)
     jumps = build_jump_ops(model, drive, space)
-    # a driven, collectively damped model has a unique fixed point; skip the
-    # dense SVD audit (cubic in the superoperator size) and rely on the
-    # post-solve residual check
-    rho = steady_state(build_liouvillian(H, jumps), check_unique=False)
+    rho = steady_state(H, jumps)
     rho_q = space.ptrace_qubit(rho)
     return float(rho_q[1, 1].real), float(abs(rho_q[1, 0]))
 
@@ -513,16 +510,20 @@ def run_steady_sweep(config: ExperimentConfig, out_dir) -> list:
     base_cap = config.max_excitations
     if base_cap is not None and base_cap <= 1:
         base_cap = n_max
+    truncation = []
     for N_A in NAs:
         # strong block loss keeps photon numbers low; two quanta suffice for
-        # the wider truncations, where the superoperator solve dominates
+        # the wider truncations
         cap = base_cap if N_A <= 1 else min(base_cap or 2, 2)
+        n = min(n_max, cap) if cap is not None else n_max
+        # the qubit plus the 2 N_A + 1 retained modes
+        dim = CompositeSpace(2 * N_A + 1, n, cap).dim
+        truncation.append({"N_A": N_A, "n_max": n, "max_excitations": cap, "dim": dim})
         rows = {"Omega_D": [], "rho_ee": [], "rho_eg_abs": []}
         for OD in Omegas:
             p_ee, coh = model_steady_state(
                 config.Gamma_tau, config.phi, config.ratio, N_A, OD,
-                n_max=min(n_max, cap) if cap is not None else n_max,
-                max_excitations=cap,
+                n_max=n, max_excitations=cap,
             )
             rows["Omega_D"].append(OD)
             rows["rho_ee"].append(p_ee)
@@ -534,7 +535,7 @@ def run_steady_sweep(config: ExperimentConfig, out_dir) -> list:
     path = out / "markovian_overlay.csv"
     _write_table(path, markovian_overlay())
     written.append(path)
-    _write_provenance(out, config, time.time() - t0)
+    _write_provenance(out, config, time.time() - t0, {"truncation": truncation})
     return written
 
 

@@ -1,19 +1,22 @@
 """Master-equation workloads: generators, time evolution, steady states.
 
 The vectorization convention is C-order (row-major) flattening, for which
-``vec(A rho B) = (A kron B^T) vec(rho)``.  Liouvillians are assembled sparse;
-they stay modest for the truncations used here but their dense form would not.
+``vec(A rho B) = (A kron B^T) vec(rho)``.  Liouvillians for time evolution
+are assembled sparse; they stay modest for the truncations used here but
+their dense form would not.  Steady states never form the Liouvillian: they
+come from H and the jump operators in d x d form (see ``steady_state``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
-from scipy.sparse.linalg import expm_multiply
+from scipy.linalg import get_lapack_funcs, schur
+from scipy.sparse.linalg import LinearOperator, eigs, expm_multiply
 
 from .hilbert import (
     CompositeSpace,
@@ -25,14 +28,14 @@ from .hilbert import (
     sigma_plus,
     sigma_x,
 )
+from .mcwf import effective_hamiltonian
 from .model import EffectiveModel, ParameterError
 from .results import EvolutionResult
 
 HERMITICITY_TOL = 1e-12
 TRACE_NULL_TOL = 1e-10
 UNIQUENESS_RTOL = 1e-8
-DENSE_SOLVE_CAP = 300  # above this dim, steady states fall back to integration
-SVD_CHECK_CAP = 4096  # largest superoperator side for the dense uniqueness check
+SHIFT_FRACTION = 0.01  # steady-state shift mu as a fraction of the total jump rate
 
 
 class NonHermitianError(ValueError):
@@ -168,18 +171,23 @@ def dissipator_superop(J, rate: float = 1.0) -> sp.csr_matrix:
     return (rate * out).tocsr()
 
 
-def build_liouvillian(H, jumps=()) -> sp.csr_matrix:
-    """Generator L with vec(rho') = L vec(rho)."""
+def _checked_generator(H, jumps):
+    """CSR H after the Hermiticity check, and the (CSR op, rate) pairs with rate > 0."""
     Hm = as_csr(H)
     scale = max(1.0, float(abs(Hm).max()))
     if float(abs(Hm - Hm.conj().T).max()) >= HERMITICITY_TOL * scale:
         raise NonHermitianError("Hamiltonian is not Hermitian")
+    if any(rate < 0 for _, rate in jumps):
+        raise ParameterError("jump rates must be non-negative")
+    return Hm, [(as_csr(op), rate) for op, rate in jumps if rate > 0]
+
+
+def build_liouvillian(H, jumps=()) -> sp.csr_matrix:
+    """Generator L with vec(rho') = L vec(rho)."""
+    Hm, jumps = _checked_generator(H, jumps)
     L = commutator_superop(Hm)
     for op, rate in jumps:
-        if rate < 0:
-            raise ParameterError("jump rates must be non-negative")
-        if rate > 0:
-            L = L + dissipator_superop(op, rate)
+        L = L + dissipator_superop(op, rate)
     return L.tocsr()
 
 
@@ -280,66 +288,54 @@ def _propagate_expm(L: sp.csr_matrix, rho0: np.ndarray, t_grid: np.ndarray) -> l
     return states
 
 
-def steady_state(
-    L,
-    dense_cap: int = DENSE_SOLVE_CAP,
-    check_unique: bool = True,
-    residual_tol: float = TRACE_NULL_TOL,
-) -> np.ndarray:
-    """Unit-trace null vector of the generator.
+def steady_state(H, jumps=()) -> np.ndarray:
+    """Unique steady state of H with (operator, rate) jumps, from d x d arrays only.
 
-    Solved directly (trace-row replacement in the sparse LU) up to
-    ``dense_cap`` Hilbert dimension; above it, by long-time integration from
-    the maximally mixed state.  Uniqueness of the zero eigenvalue is verified
-    by dense SVD when the superoperator is small enough to afford it.
+    With S(rho) = -i(Heff rho - rho Heff+) and J(rho) = sum_k rate_k J_k rho J_k+,
+    rho is steady iff K rho = rho for K = (mu - S)^-1 (J + mu), mu > 0.  K is
+    completely positive and preserves Tr((mu + sum_k rate_k J_k+ J_k) rho), so
+    no eigenvalue exceeds 1 in modulus; a second one at 1 means the steady
+    state is not unique.  In the complex Schur basis of Heff - i mu/2, mu - S
+    is one triangular Sylvester solve (Bartels-Stewart, LAPACK trsyl), and
+    ARPACK finds K's two leading eigenvalues from a fixed-seed start, so
+    repeated calls agree bitwise.
     """
-    L = as_csr(L)
-    n = L.shape[0]
-    d = int(round(math.isqrt(n)))
-    scale = float(abs(L).max()) or 1.0
+    Hm, jumps = _checked_generator(H, jumps)
+    d = Hm.shape[0]
+    # mu > 0 keeps mu - S invertible when Heff has real eigenvalues
+    mu = SHIFT_FRACTION * sum(rate for _, rate in jumps) if jumps else 1.0
+    Heff = effective_hamiltonian(Hm, jumps)
+    T, Q = schur(Heff.toarray() - 0.5j * mu * np.eye(d), output="complex")
+    schur_jumps = [math.sqrt(rate) * (Q.conj().T @ (op @ Q)) for op, rate in jumps]
+    (trsyl,) = get_lapack_funcs(("trsyl",), (T,))
 
-    if check_unique and n <= SVD_CHECK_CAP:
-        svals = np.linalg.svd(L.toarray(), compute_uv=False)
-        if svals[-2] <= UNIQUENESS_RTOL * scale:
-            raise NonUniqueSteadyStateError(
-                f"second-smallest singular value {svals[-2]:.3e} below "
-                f"{UNIQUENESS_RTOL:.0e} x scale {scale:.3e}"
-            )
+    def apply_K(x):
+        x = x.reshape(d, d)
+        y = mu * x + sum(J @ x @ J.conj().T for J in schur_jumps)
+        # (mu - S)(X) = i (T X - X T+) in the Schur basis
+        z, scale, _ = trsyl(T, T, -1j * y, tranb="C", isgn=-1)
+        return z.reshape(-1) / scale
 
-    if d <= dense_cap:
-        M = L.tolil(copy=True)
-        trace_row = np.zeros(n, dtype=complex)
-        trace_row[:: d + 1] = 1.0
-        M[0] = trace_row
-        rhs = np.zeros(n, dtype=complex)
-        rhs[0] = 1.0
-        x = sp.linalg.spsolve(M.tocsc(), rhs)
-        rho = x.reshape(d, d)
-    else:
-        rho = _steady_by_integration(L, d, residual_tol * scale)
-
+    K = LinearOperator((d * d, d * d), matvec=apply_K, dtype=complex)
+    v0 = np.random.default_rng(0).standard_normal(2 * d * d).view(complex)
+    vals, vecs = eigs(K, k=2, v0=v0)
+    first, second = np.argsort(np.abs(vals - 1.0))
+    if abs(vals[second] - 1.0) <= UNIQUENESS_RTOL:
+        raise NonUniqueSteadyStateError(
+            f"jump map has a second eigenvalue {vals[second]:.12g} at 1"
+        )
+    rho = Q @ vecs[:, first].reshape(d, d) @ Q.conj().T
+    rho = rho / np.trace(rho)
     rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-    resid = float(np.max(np.abs(L @ rho.reshape(-1))))
-    if resid > residual_tol * scale:
+
+    # bounds the largest entry of the vectorized generator
+    scale = 2.0 * abs(Heff).max() + sum(r * abs(op).max() ** 2 for op, r in jumps)
+    B = Heff @ rho
+    lrho = -1j * (B - B.conj().T)
+    lrho += sum(r * (op @ (op @ rho).conj().T) for op, r in jumps)
+    resid = float(np.max(np.abs(lrho)))
+    if resid > TRACE_NULL_TOL * scale:
         raise NonUniqueSteadyStateError(
             f"steady-state residual {resid:.3e} exceeds tolerance"
         )
     return rho
-
-
-def _steady_by_integration(L: sp.csr_matrix, d: int, abs_tol: float) -> np.ndarray:
-    y = (np.eye(d, dtype=complex) / d).reshape(-1)
-    rate = float(abs(L).max()) or 1.0
-    span = 10.0 / rate * d  # crude mixing-time guess, doubled until converged
-    for _ in range(60):
-        sol = solve_ivp(
-            lambda t, v: L @ v, (0.0, span), y, method="RK45", rtol=1e-10, atol=1e-12
-        )
-        if not sol.success:
-            raise StepSizeUnderflowError(sol.message)
-        y = sol.y[:, -1]
-        if float(np.max(np.abs(L @ y))) < abs_tol:
-            return y.reshape(d, d)
-        span *= 2.0
-    raise NonUniqueSteadyStateError("long-time integration did not converge")

@@ -10,8 +10,6 @@ misses the target, not that the gate moved.
 import functools
 import json
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 from scipy.signal import find_peaks

@@ -22,7 +22,7 @@ from mirrorqed.experiments import (
     run_experiment,
 )
 from mirrorqed.hilbert import sigma_minus, sigma_plus, sigma_x
-from mirrorqed.lindblad import build_liouvillian, steady_state
+from mirrorqed.lindblad import steady_state
 
 
 def test_config_defaults_and_rejections():
@@ -197,7 +197,7 @@ def test_qubit_steady_state_matches_liouvillian_solve():
     for Omega, kappa, kappa_phi in grid:
         H = 0.5 * Omega * sigma_x()
         jumps = [(sigma_minus(), kappa), (sigma_plus() @ sigma_minus(), kappa_phi)]
-        rho = steady_state(build_liouvillian(H, jumps))
+        rho = steady_state(H, jumps)
         p_ee, coh = qubit_steady_state(Omega, kappa, kappa_phi)
         assert p_ee == pytest.approx(rho[1, 1].real, abs=1e-12)
         assert coh == pytest.approx(abs(rho[0, 1]), abs=1e-12)
@@ -279,12 +279,18 @@ def test_run_purcell_rates(tmp_path):
 def test_run_steady_sweep_outputs(tmp_path):
     c, written = _run(
         tmp_path, experiment="steady_sweep", Gamma_tau=0.25, phi=math.pi,
-        ratio=1.0, N_A=[0], Omega_D=[1.0, 2.0], n_max=2, max_excitations=2,
+        ratio=1.0, N_A=[0, 2], Omega_D=[1.0, 2.0], n_max=3, max_excitations=3,
     )
     names = {Path(p).name for p in written}
     assert "steady_NA0.csv" in names and "markovian_overlay.csv" in names
     rows = np.genfromtxt(tmp_path / "steady_NA0.csv", delimiter=",", names=True)
     assert np.all(np.diff(np.atleast_1d(rows["rho_ee"])) > 0)
+    # the runner caps N_A > 1 at two quanta; provenance says so
+    prov = json.loads((tmp_path / "provenance.json").read_text())
+    assert prov["truncation"] == [
+        {"N_A": 0, "n_max": 3, "max_excitations": 3, "dim": 7},
+        {"N_A": 2, "n_max": 2, "max_excitations": 2, "dim": 27},
+    ]
 
 
 def test_emission_rerun_is_byte_identical(tmp_path):

@@ -8,11 +8,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorqed.hilbert import CompositeSpace, sigma_minus, sigma_plus, sigma_x
+from mirrorqed.hilbert import sigma_minus, sigma_plus, sigma_x
 from mirrorqed.lindblad import (
     DriveDissipationSpec,
     NonHermitianError,
     NonUniqueSteadyStateError,
+    TRACE_NULL_TOL,
     atom_op,
     build_hamiltonian,
     build_jump_ops,
@@ -27,6 +28,7 @@ from mirrorqed.lindblad import (
     trace_preservation_residual,
 )
 from mirrorqed.model import (
+    ParameterError,
     build_effective_model,
     params_from_dimensionless,
     snap_block_length,
@@ -96,22 +98,85 @@ def test_expm_and_rk45_agree():
     assert diff < 1e-8
 
 
+def _assert_steady(H, jumps, rho):
+    """The residual bound of a vectorized solve: |L vec rho| <= tol * max |L_ij|."""
+    L = build_liouvillian(H, jumps)
+    assert np.max(np.abs(L @ rho.reshape(-1))) <= TRACE_NULL_TOL * abs(L).max()
+
+
+def _trace_row_steady(L):
+    """Reference: sparse LU of L with its first row replaced by the trace."""
+    n = L.shape[0]
+    d = math.isqrt(n)
+    M = L.tolil(copy=True)
+    M[0] = np.where(np.arange(n) % (d + 1) == 0, 1.0, 0.0)
+    rhs = np.zeros(n, dtype=complex)
+    rhs[0] = 1.0
+    rho = sp.linalg.spsolve(M.tocsc(), rhs).reshape(d, d)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+def _criterion_7_problem(N_A, cap):
+    """The driven model at Gamma tau = 0.25, phi = pi, ratio 1, Omega_D = 4 Gamma."""
+    p = params_from_dimensionless(0.25, math.pi)
+    m = build_effective_model(p, snap_block_length(p, 1.0), N_A)
+    space = space_for_model(m, n_max=cap, max_excitations=cap)
+    drive = DriveDissipationSpec(Omega_D=4.0 * p.Gamma, gamma=m.gamma)
+    return build_hamiltonian(m, drive, space), build_jump_ops(m, drive, space)
+
+
 def test_driven_qubit_steady_state_closed_form():
     # resonant Rabi drive + decay: rho_ee = s/2/(1+s), s = 2 Omega^2/kappa^2
     Omega, kappa = 1.3, 0.9
     H = 0.5 * Omega * sigma_x()
-    L = build_liouvillian(H, [(sigma_minus(), kappa)])
-    rho = steady_state(L)
+    rho = steady_state(H, [(sigma_minus(), kappa)])
     s = 2 * Omega**2 / kappa**2
     assert rho[1, 1].real == pytest.approx(0.5 * s / (1 + s), abs=1e-10)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+    _assert_steady(H, [(sigma_minus(), kappa)], rho)
 
 
 def test_degenerate_steady_state_detected():
     # no dynamics at all: every state is steady
-    L = sp.csr_matrix((4, 4), dtype=complex)
     with pytest.raises(NonUniqueSteadyStateError):
-        steady_state(L)
+        steady_state(np.zeros((2, 2)), [])
+
+
+@pytest.mark.parametrize("N_A, cap", [(0, 3), (1, 3), (2, 2), (3, 2)])
+def test_steady_state_matches_trace_row_lu(N_A, cap):
+    H, jumps = _criterion_7_problem(N_A, cap)
+    rho = steady_state(H, jumps)
+    ref = _trace_row_steady(build_liouvillian(H, jumps))
+    assert np.max(np.abs(rho - ref)) <= 1e-12
+    _assert_steady(H, jumps, rho)
+
+
+def test_decoupled_level_makes_steady_state_non_unique():
+    # a generic generator on 69 levels plus one level nothing touches: both
+    # its steady state and the lone level are steady (d = 70, side 4900)
+    rng = np.random.default_rng(5)
+    H = sp.block_diag([_rand_herm(rng, 69), np.zeros((1, 1))], format="csr")
+    J = rng.normal(size=(69, 69)) + 1j * rng.normal(size=(69, 69))
+    J = sp.block_diag([J, np.zeros((1, 1))], format="csr")
+    with pytest.raises(NonUniqueSteadyStateError):
+        steady_state(H, [(J, 0.5)])
+    rho = steady_state(H[:69, :69], [(J[:69, :69], 0.5)])
+    _assert_steady(H[:69, :69], [(J[:69, :69], 0.5)], rho)
+
+
+def test_steady_state_is_bitwise_repeatable():
+    H, jumps = _criterion_7_problem(1, 3)
+    a = steady_state(H, jumps)
+    b = steady_state(H, jumps)
+    assert a.tobytes() == b.tobytes()
+
+
+def test_steady_state_checks_its_generator():
+    with pytest.raises(NonHermitianError):
+        steady_state(np.array([[0.0, 1.0], [0.0, 0.0]]), [(sigma_minus(), 1.0)])
+    with pytest.raises(ParameterError):
+        steady_state(sigma_x(), [(sigma_minus(), -1.0)])
 
 
 def _small_model(N_A=1, Gamma_tau=2.0, phi=math.pi / 2):
