@@ -592,9 +592,12 @@ def run_scattering(config: ExperimentConfig, out_dir) -> list:
         res.t,
         np.real(res.observables["I_out"]),
         residual_excitation=float(np.real(res.observables["excitation"][-1])),
-        leakage=max_leak,
         n_ph=spec.n_ph,
     )
+    # reported beside the balance, not subtracted from it: the mean and the
+    # worst over trajectories of each one's peak boundary population
+    audit["mean_leakage"] = float(res.meta["mean_leakage"])
+    audit["max_leakage"] = max_leak
     path = out / "scattering.csv"
     _write_table(
         path,
@@ -612,6 +615,9 @@ def run_scattering(config: ExperimentConfig, out_dir) -> list:
         time.time() - t0,
         extra={
             "flux_balance": audit,
+            "truncation": {
+                "N_A": N_A, "n_max": n_max, "max_excitations": cap, "dim": space.dim,
+            },
             "mcwf": {
                 k: v for k, v in res.meta.items() if isinstance(v, (int, float))
             },

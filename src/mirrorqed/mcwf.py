@@ -6,10 +6,24 @@ whose jump threshold is never crossed *is* the reference path, and one that
 jumps only needs individual propagation from its jump time onward.  This is
 an exact reformulation, not an approximation.
 
-Each trajectory owns a counter-based Philox stream keyed by
-(seed, trajectory index), so the ensemble is bitwise reproducible regardless
-of scheduling.  Channel selection orders cumulative probabilities by jump
-index.
+The jumping trajectories then advance together, in lock-step over the
+substep grid, as the columns of one dim x B block: each RK4 stage is one
+sparse product per operator for the whole block, and each drive coefficient
+is evaluated once per stage.  A trajectory joins the block at the substep
+boundary before its first jump, in the state of the shared path.  After each
+block step every column's norm^2 is tested against that column's own
+threshold; a column that crosses leaves the block for the substep, takes its
+jumps one vector at a time (bisection, channel choice, the rest of the
+substep) and rejoins.  Observables and boundary leakage are per-column
+reductions at the grid points.
+
+Every per-column number is computed by the same scalar call on a contiguous
+copy of that column (``column_vdot``, ``np.linalg.norm``), and a sparse
+product acts on each column as on a lone vector, so a trajectory's jumps and
+observables are bitwise independent of its block-mates.  Each trajectory owns
+a counter-based Philox stream keyed by (seed, trajectory index), so the
+ensemble is bitwise reproducible regardless of scheduling.  Channel selection
+orders cumulative probabilities by jump index.
 """
 
 from __future__ import annotations
@@ -27,10 +41,22 @@ JUMP_TIME_TOL = 1e-6
 LEAK_WARN_THRESHOLD = 1e-3
 NORM_FLOOR = 1e-14
 MAX_JUMPS_PER_SUBSTEP = 1000
+BLOCK_BYTES = 1 << 17  # one dim x B state block: with the RK4 temporaries it stays in L2
 
 
 class TruncationWarning(UserWarning):
     """Top-Fock (or excitation-cap) population exceeded the leakage threshold."""
+
+
+def column_vdot(a: np.ndarray, b: np.ndarray):
+    """<a_j|b_j> for each column of two dim x B blocks (a scalar for vectors).
+
+    Each value is np.vdot on contiguous copies of the two columns, so it is
+    bitwise the value of the lone vectors, whatever the block holds besides.
+    """
+    if a.ndim == 1:
+        return np.vdot(a, b)
+    return np.array([np.vdot(x, y) for x, y in zip(a.T.copy(), b.T.copy())])
 
 
 @dataclass
@@ -38,7 +64,7 @@ class _Problem:
     Heff: sp.csr_matrix  # H - (i/2) sum_k rate_k Jk+ Jk
     td: list  # (coeff_fn, V, V_dagger) triples: H(t) += c V + conj(c) V+
     jump_ops: list  # sqrt(rate_k) * J_k
-    e_ops: dict
+    e_ops: dict  # name -> CSR matrix, or callable(t, dim x B block) -> B values
     leak_diag: np.ndarray | None
     t_grid: np.ndarray
     h: float
@@ -63,18 +89,16 @@ class _Problem:
         m, r = divmod(s, self.n_sub)
         return float(self.t_grid[m] + r * self.h) if r else float(self.t_grid[m])
 
-    def record(self, t: float, psi: np.ndarray, obs_row: np.ndarray) -> float:
-        """Fill observable values on the normalized state; return leakage."""
-        nrm = np.linalg.norm(psi)
-        pn = psi / nrm if nrm > NORM_FLOOR else psi
+    def record(self, t: float, psi: np.ndarray):
+        """(B x n_obs observables, B leakages) of the normalized columns of psi."""
+        nrm = np.array([np.linalg.norm(c) for c in psi.T.copy()])
+        pn = psi / np.where(nrm > NORM_FLOOR, nrm, 1.0)
+        obs = np.empty((psi.shape[1], len(self.e_ops)))
         for i, op in enumerate(self.e_ops.values()):
-            if callable(op):
-                obs_row[i] = float(op(t, pn))
-            else:
-                obs_row[i] = float(np.real(np.vdot(pn, op @ pn)))
+            obs[:, i] = op(t, pn) if callable(op) else column_vdot(pn, op @ pn).real
         if self.leak_diag is None:
-            return 0.0
-        return float(np.real(np.vdot(pn, self.leak_diag * pn)))
+            return obs, np.zeros(psi.shape[1])
+        return obs, column_vdot(pn, self.leak_diag[:, None] * pn).real
 
 
 def _reference_path(prob: _Problem, psi0: np.ndarray):
@@ -85,7 +109,7 @@ def _reference_path(prob: _Problem, psi0: np.ndarray):
     grid_states = [psi0.copy()]
     obs = np.empty((len(prob.t_grid), len(prob.e_ops)))
     leak = np.empty(len(prob.t_grid))
-    leak[0] = prob.record(float(prob.t_grid[0]), psi0, obs[0])
+    obs[:1], leak[:1] = prob.record(float(prob.t_grid[0]), psi0[:, None])
     psi = psi0.copy()
     s = 0
     for m in range(n_int):
@@ -95,7 +119,9 @@ def _reference_path(prob: _Problem, psi0: np.ndarray):
             s += 1
             norms2[s] = float(np.vdot(psi, psi).real)
         grid_states.append(psi.copy())
-        leak[m + 1] = prob.record(float(prob.t_grid[m + 1]), psi, obs[m + 1])
+        obs[m + 1 : m + 2], leak[m + 1 : m + 2] = prob.record(
+            float(prob.t_grid[m + 1]), psi[:, None]
+        )
     return norms2, grid_states, obs, leak
 
 
@@ -143,21 +169,60 @@ def _advance(prob: _Problem, psi: np.ndarray, t0: float, t1: float, r: float, rn
             raise RuntimeError("jump rate pathologically high; reduce the substep")
 
 
-def _run_tail(prob, psi, t_cur, s_next, r, rng, obs_out, leak_out):
-    """Finish a trajectory from mid-run: next substep boundary index s_next."""
-    n_sub_total = (len(prob.t_grid) - 1) * prob.n_sub
-    jumps = 0
-    max_leak = 0.0
-    for s in range(s_next, n_sub_total + 1):
-        t_target = prob.substep_time(s)
-        psi, r, j = _advance(prob, psi, t_cur, t_target, r, rng)
-        jumps += j
-        t_cur = t_target
+def _join_states(prob: _Problem, grid_states: dict, substeps) -> dict:
+    """Shared no-jump state at each substep boundary in ``substeps``.
+
+    Stepped from the grid state before it (grid index -> state) exactly as
+    the reference path stepped, so the state is bitwise the reference path's.
+    """
+    states = {}
+    for s in sorted(set(substeps)):
+        m = s // prob.n_sub
+        t = float(prob.t_grid[m])
+        psi = grid_states[m].copy()
+        for k in range(s - m * prob.n_sub):
+            psi = prob.rk4_step(t + k * prob.h, psi, prob.h)
+        states[s] = psi
+    return states
+
+
+def _run_block(prob: _Problem, grid_states, s0, r, rngs, ref_obs, ref_leak):
+    """Advance trajectories in lock-step from their join substeps s0 to the end.
+
+    Trajectory j follows the no-jump path up to substep boundary s0[j], its
+    first jump falls inside substep s0[j], and r[j] is its norm^2 threshold.
+    Returns per-trajectory observables (B x n_grid x n_obs), leakages
+    (B x n_grid) and jump counts.
+    """
+    n_grid = len(prob.t_grid)
+    obs = np.empty((len(s0),) + ref_obs.shape)
+    leak = np.empty((len(s0), n_grid))
+    for j, s in enumerate(s0):
+        m0 = s // prob.n_sub
+        obs[j, : m0 + 1] = ref_obs[: m0 + 1]
+        leak[j, : m0 + 1] = ref_leak[: m0 + 1]
+    r = np.array(r)
+    jumps = np.zeros(len(s0), dtype=int)
+    joining = _join_states(prob, grid_states, s0)
+    cols = np.empty(0, dtype=int)  # trajectory of each block column
+    psi = np.empty((prob.Heff.shape[0], 0), dtype=complex)
+    for s in range(min(s0) + 1, (n_grid - 1) * prob.n_sub + 1):
+        if s - 1 in joining:
+            new = [j for j, sj in enumerate(s0) if sj == s - 1]
+            cols = np.concatenate([cols, new])
+            psi = np.hstack([psi, np.repeat(joining.pop(s - 1)[:, None], len(new), axis=1)])
+        t0, t1 = prob.substep_time(s - 1), prob.substep_time(s)
+        psi_next = prob.rk4_step(t0, psi, t1 - t0)
+        crossed = np.flatnonzero(column_vdot(psi_next, psi_next).real < r[cols])
+        for c in crossed:
+            j = cols[c]
+            psi_next[:, c], r[j], k = _advance(prob, psi[:, c].copy(), t0, t1, r[j], rngs[j])
+            jumps[j] += k
+        psi = psi_next
         if s % prob.n_sub == 0:
             m = s // prob.n_sub
-            leak_out[m] = prob.record(t_target, psi, obs_out[m])
-            max_leak = max(max_leak, leak_out[m])
-    return jumps, max_leak
+            obs[cols, m], leak[cols, m] = prob.record(t1, psi)
+    return obs, leak, jumps
 
 
 def uniform_step(t_grid: np.ndarray) -> float:
@@ -196,7 +261,9 @@ def mcwf_evolve(
 
     jumps: (operator, rate) pairs.  td_terms: (coeff_fn, op) pairs adding
     c(t) op + conj(c(t)) op+ to the Hamiltonian.  e_ops: name -> matrix, or
-    name -> callable(t, normalized_psi) for composite observables.
+    name -> callable(t, block) for composite observables, where block is a
+    dim x B array of normalized states and the callable returns B values;
+    a column's value must not depend on the other columns (``column_vdot``).
     leak_projector: diagonal of the boundary projector, as returned by
     ``CompositeSpace.boundary_projector``.  The integrator is fixed-step RK4
     with ``substeps`` steps per grid interval; jump times are bisected to
@@ -218,7 +285,7 @@ def mcwf_evolve(
     td = [(fn, as_csr(op), as_csr(op).conj().T.tocsr()) for fn, op in td_terms]
     scaled_jumps = [np.sqrt(rate) * J for J, rate in jump_list if rate > 0]
 
-    e_ops = dict(e_ops or {})
+    e_ops = {k: op if callable(op) else as_csr(op) for k, op in (e_ops or {}).items()}
     leak_diag = None
     if leak_projector is not None:
         leak_diag = np.asarray(leak_projector, dtype=float)
@@ -242,12 +309,7 @@ def mcwf_evolve(
     n_grid, n_obs = ref_obs.shape
     n_sub_total = (n_grid - 1) * prob.n_sub
 
-    obs_sum = np.zeros((n_grid, n_obs))
-    obs_sumsq = np.zeros((n_grid, n_obs))
-    n_cached = 0
-    total_jumps = 0
-    max_leak = float(np.max(ref_leak)) if n_grid else 0.0
-
+    jumping = []  # (rng, threshold, substep of the first jump), by trajectory
     for traj in range(n_traj):
         rng = np.random.Generator(
             np.random.Philox(key=np.array([seed, traj], dtype=np.uint64))
@@ -255,26 +317,26 @@ def mcwf_evolve(
         r = rng.random()
         # first substep boundary where the no-jump norm^2 dips below r
         idx = int(np.searchsorted(-norms2, -r, side="right"))
-        if idx > n_sub_total:
-            n_cached += 1
-            continue
-        s0 = idx - 1  # jump occurs inside substep s0
-        m0 = s0 // prob.n_sub
-        psi = grid_states[m0].copy()
-        t = float(t_grid[m0])
-        for k in range(s0 - m0 * prob.n_sub):
-            psi = prob.rk4_step(t + k * prob.h, psi, prob.h)
-        obs_traj = np.empty_like(ref_obs)
-        leak_traj = np.zeros(n_grid)
-        obs_traj[: m0 + 1] = ref_obs[: m0 + 1]
-        leak_traj[: m0 + 1] = ref_leak[: m0 + 1]
-        jumps_taken, tail_leak = _run_tail(
-            prob, psi, prob.substep_time(s0), s0 + 1, r, rng, obs_traj, leak_traj
-        )
-        total_jumps += jumps_taken
-        max_leak = max(max_leak, tail_leak, float(np.max(ref_leak[: m0 + 1])))
-        obs_sum += obs_traj
-        obs_sumsq += obs_traj**2
+        if idx <= n_sub_total:
+            jumping.append((rng, r, idx - 1))
+    n_cached = n_traj - len(jumping)
+    # the blocks need only the grid states that some trajectory joins from
+    grid_states = {s0 // prob.n_sub: grid_states[s0 // prob.n_sub] for _, _, s0 in jumping}
+
+    # blocks of consecutive jumping trajectories, summed in trajectory order
+    obs_sum = np.zeros((n_grid, n_obs))
+    obs_sumsq = np.zeros((n_grid, n_obs))
+    total_jumps = 0
+    peaks = [float(np.max(ref_leak))] * n_cached
+    width = max(1, BLOCK_BYTES // (16 * len(psi0)))
+    for b in range(0, len(jumping), width):
+        rngs, rs, s0 = zip(*jumping[b : b + width])
+        obs, leak, jumps = _run_block(prob, grid_states, s0, rs, rngs, ref_obs, ref_leak)
+        total_jumps += int(jumps.sum())
+        peaks.extend(leak.max(axis=1))
+        for obs_traj in obs:
+            obs_sum += obs_traj
+            obs_sumsq += obs_traj**2
 
     obs_sum += n_cached * ref_obs
     obs_sumsq += n_cached * ref_obs**2
@@ -286,6 +348,7 @@ def mcwf_evolve(
     else:
         stderr = np.zeros_like(mean)
 
+    max_leak = float(max(peaks))
     if leak_diag is not None and max_leak > LEAK_WARN_THRESHOLD:
         warnings.warn(
             f"truncation leakage reached {max_leak:.3e} (> {LEAK_WARN_THRESHOLD:g})",
@@ -307,5 +370,6 @@ def mcwf_evolve(
             "n_jumping_trajectories": n_traj - n_cached,
             "total_jumps": total_jumps,
             "max_leakage": max_leak,
+            "mean_leakage": float(np.mean(peaks)),
         },
     )

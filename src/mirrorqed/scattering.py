@@ -17,6 +17,7 @@ import scipy.sparse as sp
 
 from .hilbert import CompositeSpace
 from .lindblad import collective_mode_op, expectation
+from .mcwf import column_vdot
 from .model import EffectiveModel, ParameterError
 from .results import EvolutionResult
 
@@ -77,7 +78,8 @@ def output_operator(space: CompositeSpace, gamma: float, E_in: complex) -> sp.cs
 def make_output_e_ops(space: CompositeSpace, model: EffectiveModel, spec: PulseSpec | None):
     """Callable observables I_out and G2 for the MCWF engine.
 
-    I_out = <O+ O>, G2 = <O+ O+ O O>, evaluated on normalized states; the
+    I_out = <O+ O>, G2 = <O+ O+ O O>, evaluated on normalized states: a
+    dim x B block gives B values (one per column), a vector one value.  The
     coherent input amplitude enters as a scalar displacement.
     """
     A = collective_mode_op(space)
@@ -86,16 +88,17 @@ def make_output_e_ops(space: CompositeSpace, model: EffectiveModel, spec: PulseS
     def envelope(t: float) -> complex:
         return gaussian_envelope(spec, t) if spec is not None else 0.0
 
-    def apply_O(t: float, psi: np.ndarray) -> np.ndarray:
-        return envelope(t) * psi + 1j * rg * (A @ psi)
+    def apply_O(E: complex, psi: np.ndarray) -> np.ndarray:
+        return E * psi + 1j * rg * (A @ psi)
 
-    def i_out(t: float, psi: np.ndarray) -> float:
-        Op = apply_O(t, psi)
-        return float(np.vdot(Op, Op).real)
+    def i_out(t: float, psi: np.ndarray):
+        Op = apply_O(envelope(t), psi)
+        return column_vdot(Op, Op).real
 
-    def g2(t: float, psi: np.ndarray) -> float:
-        OOp = apply_O(t, apply_O(t, psi))
-        return float(np.vdot(OOp, OOp).real)
+    def g2(t: float, psi: np.ndarray):
+        E = envelope(t)
+        OOp = apply_O(E, apply_O(E, psi))
+        return column_vdot(OOp, OOp).real
 
     return {"I_out": i_out, "G2": g2}
 
@@ -119,16 +122,14 @@ def flux_balance(
     t: np.ndarray,
     I_out: np.ndarray,
     residual_excitation: float,
-    leakage: float,
     n_ph: float,
 ) -> dict:
     """Photon-number audit: input = integrated output + what is still inside."""
     emitted = float(np.trapezoid(I_out, t))
-    mismatch = n_ph - emitted - residual_excitation - leakage
+    mismatch = n_ph - emitted - residual_excitation
     return {
         "n_ph": n_ph,
         "integrated_output": emitted,
         "residual_excitation": residual_excitation,
-        "leakage": leakage,
         "mismatch": float(mismatch),
     }
