@@ -417,7 +417,11 @@ PURCELL_PHIS = (math.pi / 2, math.pi, 3 * math.pi / 2)
 
 
 def run_purcell(config: ExperimentConfig, out_dir) -> list:
-    """Short-delay decay rates: fitted vs 2*Gamma*sin^2(phi/2), per phi."""
+    """Short-delay decay rates: fitted vs 2*Gamma*sin^2(phi/2), per phi.
+
+    The limit needs Gamma_tau < 0.1; a larger config value runs at 0.01.
+    Provenance records the value run as ``Gamma_tau_used``.
+    """
     t0 = time.time()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -439,7 +443,9 @@ def run_purcell(config: ExperimentConfig, out_dir) -> list:
         rows["rate_model"].append(rate_model)
     path = out / "purcell.csv"
     _write_table(path, {k: np.array(v) for k, v in rows.items()})
-    _write_provenance(out, config, time.time() - t0, _decay_solver(dims))
+    _write_provenance(
+        out, config, time.time() - t0, {"Gamma_tau_used": Gamma_tau, **_decay_solver(dims)}
+    )
     return [path]
 
 

@@ -1,10 +1,9 @@
 """Master-equation workloads: generators, time evolution, steady states.
 
-The vectorization convention is C-order (row-major) flattening, for which
-``vec(A rho B) = (A kron B^T) vec(rho)``.  Liouvillians for time evolution
-are assembled sparse; they stay modest for the truncations used here but
-their dense form would not.  Steady states never form the Liouvillian: they
-come from H and the jump operators in d x d form (see ``steady_state``).
+The Lindblad generator acts on the d x d density matrix itself, through the
+sparse effective Hamiltonian and jump operators (``Liouvillian``); the
+d^2 x d^2 superoperator is never formed, neither for time evolution nor for
+steady states.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.linalg import get_lapack_funcs, schur
-from scipy.sparse.linalg import LinearOperator, eigs, expm_multiply
+from scipy.sparse.linalg import LinearOperator, eigs
 
 from .hilbert import (
     CompositeSpace,
@@ -153,50 +152,53 @@ def build_jump_ops(
     return jumps
 
 
-def commutator_superop(V) -> sp.csr_matrix:
-    """Superoperator for -i[V, .] under C-order vectorization."""
-    V = as_csr(V)
-    d = V.shape[0]
-    eye = sp.identity(d, dtype=complex, format="csr")
-    return (-1j * (sp.kron(V, eye) - sp.kron(eye, V.T))).tocsr()
+def _require_hermitian(M, what: str) -> None:
+    scale = max(1.0, float(abs(M).max()))
+    if float(abs(M - M.conj().T).max()) >= HERMITICITY_TOL * scale:
+        raise NonHermitianError(f"{what} is not Hermitian")
 
 
-def dissipator_superop(J, rate: float = 1.0) -> sp.csr_matrix:
-    """Superoperator for rate * (J rho J+ - {J+J, rho}/2)."""
-    J = as_csr(J)
-    d = J.shape[0]
-    eye = sp.identity(d, dtype=complex, format="csr")
-    JdJ = (J.conj().T @ J).tocsr()
-    out = sp.kron(J, J.conj()) - 0.5 * sp.kron(JdJ, eye) - 0.5 * sp.kron(eye, JdJ.T)
-    return (rate * out).tocsr()
+@dataclass(frozen=True)
+class Liouvillian:
+    """Lindblad generator of H and its jumps, applied to d x d density matrices.
+
+    Heff = H - (i/2) sum_k rate_k J_k+ J_k; jumps are the (CSR op, rate > 0)
+    pairs.  For Hermitian rho, L(rho) = -i(B - B+) + sum_k rate_k J_k rho J_k+
+    with B = Heff rho, since rho Heff+ = (Heff rho)+.
+    """
+
+    Heff: sp.csr_matrix
+    jumps: tuple
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries of Heff and of the jump operators."""
+        return self.Heff.nnz + sum(op.nnz for op, _ in self.jumps)
+
+    def apply(self, rho: np.ndarray, drive: np.ndarray | None = None) -> np.ndarray:
+        """L(rho) for Hermitian rho.
+
+        drive, if given, is V rho for a Hermitian term V added to H (a
+        time-dependent drive at the current time); it folds into B.
+        """
+        B = self.Heff @ rho
+        if drive is not None:
+            B += drive
+        out = -1j * (B - B.conj().T)
+        for op, rate in self.jumps:
+            # J rho J+ = J (J rho)+ for Hermitian rho
+            out += rate * (op @ (op @ rho).conj().T)
+        return out
 
 
-def _checked_generator(H, jumps):
-    """CSR H after the Hermiticity check, and the (CSR op, rate) pairs with rate > 0."""
+def build_liouvillian(H, jumps=()) -> Liouvillian:
+    """Generator of H with (operator, rate) jumps, after the Hermiticity and rate checks."""
     Hm = as_csr(H)
-    scale = max(1.0, float(abs(Hm).max()))
-    if float(abs(Hm - Hm.conj().T).max()) >= HERMITICITY_TOL * scale:
-        raise NonHermitianError("Hamiltonian is not Hermitian")
+    _require_hermitian(Hm, "Hamiltonian")
     if any(rate < 0 for _, rate in jumps):
         raise ParameterError("jump rates must be non-negative")
-    return Hm, [(as_csr(op), rate) for op, rate in jumps if rate > 0]
-
-
-def build_liouvillian(H, jumps=()) -> sp.csr_matrix:
-    """Generator L with vec(rho') = L vec(rho)."""
-    Hm, jumps = _checked_generator(H, jumps)
-    L = commutator_superop(Hm)
-    for op, rate in jumps:
-        L = L + dissipator_superop(op, rate)
-    return L.tocsr()
-
-
-def trace_preservation_residual(L: sp.spmatrix) -> float:
-    """Max violation of vec(I)^T L = 0 (the generator-level trace check)."""
-    d = int(round(math.isqrt(L.shape[0])))
-    vec_id = np.zeros(d * d, dtype=complex)
-    vec_id[:: d + 1] = 1.0
-    return float(np.max(np.abs(vec_id @ L)))
+    kept = tuple((as_csr(op), rate) for op, rate in jumps if rate > 0)
+    return Liouvillian(effective_hamiltonian(Hm, kept), kept)
 
 
 def expectation(op, rho: np.ndarray) -> complex:
@@ -207,7 +209,7 @@ def expectation(op, rho: np.ndarray) -> complex:
 
 
 def integrate_me(
-    L,
+    L: Liouvillian,
     rho0: np.ndarray,
     t_grid: np.ndarray,
     td_terms=(),
@@ -215,77 +217,57 @@ def integrate_me(
     rtol: float = 1e-8,
     atol: float = 1e-10,
     keep_states: bool = True,
-    method: str = "rk45",
 ) -> EvolutionResult:
-    """Integrate vec(rho)' = L vec(rho) + sum_k c_k(t) L_k vec(rho).
+    """Integrate rho' = L(rho) with RK45 on the d x d density matrix.
 
-    td_terms are (coeff_fn, superop) pairs with complex-valued coefficients;
-    a Hamiltonian drive c(t) V + h.c. contributes two such pairs.  Trace is
-    never renormalized: its drift is reported as the trace_residual series.
-    method "expm" is exact stepping for time-independent generators.
+    td_terms: (coeff_fn, op) pairs adding c(t) op + conj(c(t)) op+ to H, the
+    convention of ``mcwf_evolve`` and the output of ``build_drive_term``.
+    e_ops: name -> operator, recorded as Re Tr(op rho).  rho0 must be
+    Hermitian.  Trace is never renormalized: its drift is reported as the
+    trace_residual series.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    L = as_csr(L)
-    d = int(round(math.isqrt(L.shape[0])))
     rho0 = np.asarray(rho0, dtype=complex)
-    td = [(fn, as_csr(sop)) for fn, sop in td_terms]
+    _require_hermitian(rho0, "rho0")
+    d = rho0.shape[0]
+    td = [(fn, as_csr(op), as_csr(op).conj().T.tocsr()) for fn, op in td_terms]
 
-    if method == "expm":
-        if td:
-            raise ParameterError("expm stepping requires a time-independent generator")
-        states = _propagate_expm(L, rho0, t_grid)
-    elif method == "rk45":
-        def rhs(t, y):
-            out = L @ y
-            for fn, sop in td:
-                c = fn(t)
-                if c != 0.0:
-                    out = out + c * (sop @ y)
-            return out
+    def rhs(t, y):
+        rho = y.reshape(d, d)
+        drive = None
+        for fn, V, Vd in td:
+            c = fn(t)
+            if c != 0.0:
+                term = c * (V @ rho) + np.conj(c) * (Vd @ rho)
+                drive = term if drive is None else drive + term
+        return L.apply(rho, drive).reshape(-1)
 
-        sol = solve_ivp(
-            rhs,
-            (t_grid[0], t_grid[-1]),
-            rho0.reshape(-1),
-            t_eval=t_grid,
-            method="RK45",
-            rtol=rtol,
-            atol=atol,
-        )
-        if not sol.success:
-            raise StepSizeUnderflowError(sol.message)
-        states = [sol.y[:, i].reshape(d, d) for i in range(sol.y.shape[1])]
-    else:
-        raise ParameterError(f"unknown method {method!r}")
+    sol = solve_ivp(
+        rhs,
+        (t_grid[0], t_grid[-1]),
+        rho0.reshape(-1),
+        t_eval=t_grid,
+        method="RK45",
+        rtol=rtol,
+        atol=atol,
+    )
+    if not sol.success:
+        raise StepSizeUnderflowError(sol.message)
+    states = [sol.y[:, i].reshape(d, d) for i in range(sol.y.shape[1])]
 
-    observables = {}
-    if e_ops:
-        for name, op in e_ops.items():
-            if callable(op):
-                observables[name] = np.array([op(t, r) for t, r in zip(t_grid, states)])
-            else:
-                observables[name] = np.array(
-                    [np.real(expectation(op, r)) for r in states]
-                )
+    observables = {
+        name: np.array([np.real(expectation(op, r)) for r in states])
+        for name, op in (e_ops or {}).items()
+    }
     observables["trace_residual"] = np.array(
         [abs(np.trace(r) - 1.0) for r in states]
     )
     return EvolutionResult(
         t=t_grid,
         observables=observables,
-        meta={"method": method, "rtol": rtol, "atol": atol},
+        meta={"rtol": rtol, "atol": atol},
         states=states if keep_states else None,
     )
-
-
-def _propagate_expm(L: sp.csr_matrix, rho0: np.ndarray, t_grid: np.ndarray) -> list:
-    d = rho0.shape[0]
-    states = [rho0.copy()]
-    y = rho0.reshape(-1)
-    for h in np.diff(t_grid):
-        y = expm_multiply(L * h, y)
-        states.append(y.reshape(d, d))
-    return states
 
 
 def steady_state(H, jumps=()) -> np.ndarray:
@@ -300,11 +282,11 @@ def steady_state(H, jumps=()) -> np.ndarray:
     ARPACK finds K's two leading eigenvalues from a fixed-seed start, so
     repeated calls agree bitwise.
     """
-    Hm, jumps = _checked_generator(H, jumps)
-    d = Hm.shape[0]
+    L = build_liouvillian(H, jumps)
+    Heff, jumps = L.Heff, L.jumps
+    d = Heff.shape[0]
     # mu > 0 keeps mu - S invertible when Heff has real eigenvalues
     mu = SHIFT_FRACTION * sum(rate for _, rate in jumps) if jumps else 1.0
-    Heff = effective_hamiltonian(Hm, jumps)
     T, Q = schur(Heff.toarray() - 0.5j * mu * np.eye(d), output="complex")
     schur_jumps = [math.sqrt(rate) * (Q.conj().T @ (op @ Q)) for op, rate in jumps]
     (trsyl,) = get_lapack_funcs(("trsyl",), (T,))
@@ -330,10 +312,7 @@ def steady_state(H, jumps=()) -> np.ndarray:
 
     # bounds the largest entry of the vectorized generator
     scale = 2.0 * abs(Heff).max() + sum(r * abs(op).max() ** 2 for op, r in jumps)
-    B = Heff @ rho
-    lrho = -1j * (B - B.conj().T)
-    lrho += sum(r * (op @ (op @ rho).conj().T) for op, r in jumps)
-    resid = float(np.max(np.abs(lrho)))
+    resid = float(np.max(np.abs(L.apply(rho))))
     if resid > TRACE_NULL_TOL * scale:
         raise NonUniqueSteadyStateError(
             f"steady-state residual {resid:.3e} exceeds tolerance"

@@ -125,10 +125,9 @@ def _reference_path(prob: _Problem, psi0: np.ndarray):
     return norms2, grid_states, obs, leak
 
 
-def _locate_jump(prob: _Problem, psi0: np.ndarray, t0: float, h: float, r: float):
-    """Bisect the norm^2 = r crossing inside (t0, t0 + h]."""
+def _locate_jump(prob: _Problem, psi0: np.ndarray, t0: float, h: float, r: float, psi_hi):
+    """Bisect the norm^2 = r crossing inside (t0, t0 + h]; psi_hi = rk4_step(t0, psi0, h)."""
     lo, hi = 0.0, h
-    psi_hi = prob.rk4_step(t0, psi0, h)
     while hi - lo > JUMP_TIME_TOL and hi > 1e-15:
         mid = 0.5 * (lo + hi)
         psi_mid = prob.rk4_step(t0, psi0, mid)
@@ -161,7 +160,7 @@ def _advance(prob: _Problem, psi: np.ndarray, t0: float, t1: float, r: float, rn
         psi_next = prob.rk4_step(t0, psi, h)
         if float(np.vdot(psi_next, psi_next).real) >= r:
             return psi_next, r, jumps
-        t0, psi_at = _locate_jump(prob, psi, t0, h, r)
+        t0, psi_at = _locate_jump(prob, psi, t0, h, r, psi_next)
         psi = _apply_jump(prob, psi_at, rng)
         r = rng.random()
         jumps += 1

@@ -274,6 +274,18 @@ def test_run_purcell_rates(tmp_path):
     )
     prov = json.loads((tmp_path / "provenance.json").read_text())
     assert prov["decay_solver"] == {"method": "amplitude", "dim": 3}
+    assert prov["Gamma_tau_used"] == 1e-2
+
+
+def test_run_purcell_records_the_delay_it_ran(tmp_path):
+    # the short-delay limit replaces the default Gamma_tau = 2 by 0.01
+    _run(tmp_path / "a", experiment="purcell")
+    _run(tmp_path / "b", experiment="purcell", Gamma_tau=1e-2)
+    prov = json.loads((tmp_path / "a" / "provenance.json").read_text())
+    assert prov["config"]["physical"]["Gamma_tau"] == 2.0
+    assert prov["Gamma_tau_used"] == 1e-2
+    csv = [(tmp_path / d / "purcell.csv").read_bytes() for d in "ab"]
+    assert csv[0] == csv[1]
 
 
 def test_run_steady_sweep_outputs(tmp_path):

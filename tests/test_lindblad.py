@@ -1,14 +1,15 @@
-"""Master-equation engine: superoperators, propagation, steady states."""
+"""Master-equation engine: the matrix-form generator, propagation, steady states."""
 
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorqed.hilbert import sigma_minus, sigma_plus, sigma_x
+from mirrorqed.hilbert import as_csr, sigma_minus, sigma_plus, sigma_x
 from mirrorqed.lindblad import (
     DriveDissipationSpec,
     NonHermitianError,
@@ -19,13 +20,10 @@ from mirrorqed.lindblad import (
     build_jump_ops,
     build_liouvillian,
     collective_mode_op,
-    commutator_superop,
-    dissipator_superop,
     integrate_me,
     space_for_model,
     steady_state,
     total_excitation_op,
-    trace_preservation_residual,
 )
 from mirrorqed.model import (
     ParameterError,
@@ -46,21 +44,37 @@ def _rand_rho(rng, d):
     return rho / np.trace(rho)
 
 
+def _kron_generator(H, jumps):
+    """Reference: the d^2 x d^2 generator, vec(rho') = L vec(rho) in C order,
+    built from vec(A rho B) = (A kron B^T) vec(rho)."""
+    H = as_csr(H)
+    eye = sp.identity(H.shape[0], dtype=complex, format="csr")
+    L = -1j * (sp.kron(H, eye) - sp.kron(eye, H.T))
+    for J, rate in jumps:
+        J = as_csr(J)
+        JdJ = J.conj().T @ J
+        L = L + rate * (
+            sp.kron(J, J.conj()) - 0.5 * sp.kron(JdJ, eye) - 0.5 * sp.kron(eye, JdJ.T)
+        )
+    return L.tocsr()
+
+
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
-def test_superops_reproduce_matrix_action(seed):
+def test_generator_applies_the_lindblad_form(seed):
     rng = np.random.default_rng(seed)
     d = 4
     H = _rand_herm(rng, d)
     J = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = _rand_rho(rng, d)
-    lhs = (commutator_superop(H) @ rho.reshape(-1)).reshape(d, d)
-    assert np.allclose(lhs, -1j * (H @ rho - rho @ H))
     rate = 0.7
-    lhs_d = (dissipator_superop(J, rate) @ rho.reshape(-1)).reshape(d, d)
     JdJ = J.conj().T @ J
-    rhs_d = rate * (J @ rho @ J.conj().T - 0.5 * (JdJ @ rho + rho @ JdJ))
-    assert np.allclose(lhs_d, rhs_d)
+    dense = -1j * (H @ rho - rho @ H) + rate * (
+        J @ rho @ J.conj().T - 0.5 * (JdJ @ rho + rho @ JdJ)
+    )
+    L = build_liouvillian(H, [(J, rate)])
+    assert np.allclose(L.apply(rho), dense)
+    assert L.nnz == 2 * d * d  # dense Heff and one dense jump
 
 
 def test_liouvillian_preserves_trace():
@@ -68,12 +82,18 @@ def test_liouvillian_preserves_trace():
     H = _rand_herm(rng, 5)
     J = rng.normal(size=(5, 5))
     L = build_liouvillian(H, [(J, 0.4), (J.T, 1.1)])
-    assert trace_preservation_residual(L) < 1e-12
+    assert abs(np.trace(L.apply(_rand_rho(rng, 5)))) < 1e-12
 
 
 def test_non_hermitian_hamiltonian_rejected():
     with pytest.raises(NonHermitianError):
         build_liouvillian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_non_hermitian_initial_state_rejected():
+    L = build_liouvillian(np.zeros((2, 2)), [(sigma_minus(), 1.0)])
+    with pytest.raises(NonHermitianError, match="rho0"):
+        integrate_me(L, np.array([[1.0, 0.1], [0.0, 0.0]]), np.linspace(0, 1, 3))
 
 
 def test_qubit_decay_analytic():
@@ -89,18 +109,18 @@ def test_expm_and_rk45_agree():
     rng = np.random.default_rng(11)
     H = _rand_herm(rng, 3)
     J = rng.normal(size=(3, 3))
-    L = build_liouvillian(H, [(J, 0.5)])
     rho0 = _rand_rho(rng, 3)
     t = np.linspace(0, 2, 21)
-    a = integrate_me(L, rho0, t, method="rk45", rtol=1e-10, atol=1e-12)
-    b = integrate_me(L, rho0, t, method="expm")
-    diff = max(np.max(np.abs(x - y)) for x, y in zip(a.states, b.states))
+    a = integrate_me(build_liouvillian(H, [(J, 0.5)]), rho0, t, rtol=1e-10, atol=1e-12)
+    Lk = _kron_generator(H, [(J, 0.5)]).toarray()
+    b = [(expm(Lk * tk) @ rho0.reshape(-1)).reshape(3, 3) for tk in t]
+    diff = max(np.max(np.abs(x - y)) for x, y in zip(a.states, b))
     assert diff < 1e-8
 
 
 def _assert_steady(H, jumps, rho):
     """The residual bound of a vectorized solve: |L vec rho| <= tol * max |L_ij|."""
-    L = build_liouvillian(H, jumps)
+    L = _kron_generator(H, jumps)
     assert np.max(np.abs(L @ rho.reshape(-1))) <= TRACE_NULL_TOL * abs(L).max()
 
 
@@ -147,7 +167,7 @@ def test_degenerate_steady_state_detected():
 def test_steady_state_matches_trace_row_lu(N_A, cap):
     H, jumps = _criterion_7_problem(N_A, cap)
     rho = steady_state(H, jumps)
-    ref = _trace_row_steady(build_liouvillian(H, jumps))
+    ref = _trace_row_steady(_kron_generator(H, jumps))
     assert np.max(np.abs(rho - ref)) <= 1e-12
     _assert_steady(H, jumps, rho)
 
@@ -236,11 +256,10 @@ def test_rotating_and_lab_frames_share_populations():
         space = space_for_model(m, n_max=1, max_excitations=1)
         H = build_hamiltonian(m, DriveDissipationSpec(gamma=m.gamma), space)
         jumps = build_jump_ops(m, DriveDissipationSpec(gamma=m.gamma), space)
-        Lsup = build_liouvillian(H, jumps)
         psi0 = space.vacuum(excited=True)
         rho0 = np.outer(psi0, psi0.conj())
         res = integrate_me(
-            Lsup, rho0, t,
+            build_liouvillian(H, jumps), rho0, t,
             e_ops={"p": atom_op(space, sigma_plus() @ sigma_minus())},
             rtol=1e-10, atol=1e-12, keep_states=False,
         )
@@ -249,18 +268,16 @@ def test_rotating_and_lab_frames_share_populations():
 
 
 def test_time_dependent_drive_term():
-    # c(t) V + h.c. fed as two superoperator terms matches a constant drive
+    # the pair (c, sigma+) with c = i Omega/2 adds c sigma+ + conj(c) sigma-,
+    # the constant drive (Omega/2) sigma_y; swapping c and conj(c) flips it
     Omega, kappa = 0.8, 1.0
-    V = sigma_plus()
-    L0 = build_liouvillian(0.5 * Omega * sigma_x(), [(sigma_minus(), kappa)])
+    sigma_y = np.array([[0.0, -1j], [1j, 0.0]])
+    L0 = build_liouvillian(0.5 * Omega * sigma_y, [(sigma_minus(), kappa)])
     L_free = build_liouvillian(np.zeros((2, 2)), [(sigma_minus(), kappa)])
-    C = commutator_superop(V)
-    Cd = commutator_superop(V.conj().T)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     t = np.linspace(0, 3, 31)
     ref = integrate_me(L0, rho0, t, rtol=1e-10, atol=1e-12)
-    # -i[c V + c* V+, .] = c (-i[V,.]) + c* (-i[V+,.]); superop pairs carry c, c*
-    td = [(lambda _t: 0.5 * Omega, C), (lambda _t: 0.5 * Omega, Cd)]
+    td = [(lambda _t: 0.5j * Omega, sigma_plus())]
     res = integrate_me(L_free, rho0, t, td_terms=td, rtol=1e-10, atol=1e-12)
     diff = max(np.max(np.abs(a - b)) for a, b in zip(ref.states, res.states))
     assert diff < 1e-7

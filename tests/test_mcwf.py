@@ -1,6 +1,7 @@
 """Trajectory unraveling against exact and master-equation references."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -190,6 +191,7 @@ def _pulse_problem(seed):
     drive = DriveDissipationSpec(gamma=model.gamma)
     e_ops = make_output_e_ops(space, model, spec)
     e_ops["excitation"] = total_excitation_op(space)
+    e_ops["atom"] = atom_op(space, sigma_plus() @ sigma_minus())
     return dict(
         H=build_hamiltonian(model, drive, space),
         jumps=build_jump_ops(model, drive, space),
@@ -231,6 +233,27 @@ def test_seeded_jump_counts_are_pinned(problem, seed, jumping, jumps):
     # the block engine takes the same jumps on the same streams
     meta = mcwf_evolve(**problem(seed)).meta
     assert (meta["n_jumping_trajectories"], meta["total_jumps"]) == (jumping, jumps)
+
+
+@pytest.mark.filterwarnings("ignore::mirrorqed.mcwf.TruncationWarning")
+def test_pulse_drive_matches_master_equation():
+    # both engines take the identical (coeff, op) drive pair; the atomic
+    # population lies in [0, 1], so a trajectory mean is within
+    # z sqrt(mu (1 - mu) / n) of the exact mu, Bonferroni over the grid
+    kwargs = _pulse_problem(seed=5)
+    kwargs["n_traj"] = 200
+    psi0 = kwargs["psi0"]
+    me = integrate_me(
+        build_liouvillian(kwargs["H"], kwargs["jumps"]), np.outer(psi0, psi0.conj()),
+        kwargs["t_grid"], td_terms=kwargs["td_terms"], e_ops={"atom": kwargs["e_ops"]["atom"]},
+        rtol=1e-10, atol=1e-12, keep_states=False,
+    )
+    mc = mcwf_evolve(**kwargs)
+    mu = np.clip(me.observables["atom"], 0.0, 1.0)
+    z = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * len(mu)))
+    bound = z * np.sqrt(mu * (1.0 - mu) / kwargs["n_traj"]) + 1e-9
+    assert mu.max() > 0.1  # the pulse excites the atom
+    assert np.all(np.abs(mc.observables["atom"] - mu) <= bound)
 
 
 def test_output_observables_on_a_block():
