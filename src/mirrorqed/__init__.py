@@ -25,7 +25,7 @@ from .dde import (
     purcell_rate,
     solve_delay_ode,
 )
-from .hilbert import CompositeSpace, QuantumOperator
+from .hilbert import CompositeSpace
 from .results import EvolutionResult
 from .lindblad import (
     DriveDissipationSpec,
@@ -54,7 +54,6 @@ __all__ = [
     "purcell_rate",
     "fit_decay_rate",
     "CompositeSpace",
-    "QuantumOperator",
     "EvolutionResult",
     "DriveDissipationSpec",
     "build_hamiltonian",

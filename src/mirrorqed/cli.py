@@ -7,12 +7,13 @@ abort.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import __version__
 from .experiments import (
-    EXPERIMENTS,
     BACKENDS,
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     TruncationAbort,
@@ -42,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
         p.add_argument(
-            "--backend", choices=BACKENDS, help="solver backend (overrides config)"
+            "--backend",
+            help=f"solver backend: {', '.join(BACKENDS[SUBCOMMANDS[cmd]])} (overrides config)",
         )
     return parser
 
@@ -58,13 +60,11 @@ def load_config(args) -> ExperimentConfig:
             )
     else:
         config = ExperimentConfig(experiment=experiment)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.backend is not None:
-        config.backend = args.backend
-    if args.out is not None:
-        config.out_dir = args.out
-    return config
+    # replace() validates the overridden config again
+    flags = {"seed": args.seed, "backend": args.backend, "out_dir": args.out}
+    return dataclasses.replace(
+        config, **{k: v for k, v in flags.items() if v is not None}
+    )
 
 
 def main(argv=None) -> int:

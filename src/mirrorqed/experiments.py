@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +37,17 @@ from .model import build_effective_model, params_from_dimensionless, snap_block_
 from .results import write_csv
 from .scattering import PulseSpec, build_drive_term, flux_balance, make_output_e_ops
 
-EXPERIMENTS = ("emission", "scattering", "steady_sweep", "convergence", "purcell")
-BACKENDS = ("dde", "me", "mcwf", "chain")
+PULSE = {"W": 2.5, "t0": 2.0, "n_ph": 0.5, "delta_in": 0.0}
+
+# experiment -> the solver backends it runs
+BACKENDS = {
+    "emission": ("me", "chain"),
+    "scattering": ("mcwf",),
+    "steady_sweep": ("me",),
+    "convergence": ("me",),
+    "purcell": ("me",),
+}
+EXPERIMENTS = tuple(BACKENDS)
 
 
 class ConfigError(ValueError):
@@ -48,56 +58,66 @@ class TruncationAbort(RuntimeError):
     """Boundary-state leakage exceeded the configured threshold."""
 
 
-# every config field, by block; None marks a leaf.  drive.pulse may be null.
-SCHEMA = {
-    "experiment": None,
-    "physical": {"Gamma_tau": None, "phi": None, "ratio": None},
-    "model": {"N_A": None, "n_max": None, "max_excitations": None, "frame": None},
-    "drive": {
-        "Omega_D": None,
-        "pulse": {"W": None, "t0": None, "n_ph": None, "delta_in": None},
-    },
-    "solver": {
-        "backend": None,
-        "dt": None,
-        "t_max": None,
-        "n_traj": None,
-        "seed": None,
-        "substeps": None,
-        "sites_per_delay": None,
-        "leak_abort": None,
-    },
-    "output": {"directory": None},
+def _int(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value} is not a whole number")
+    return int(value)
+
+
+def _ints(value) -> list:
+    return [_int(value)] if isinstance(value, int) else [_int(n) for n in value]
+
+
+def _floats(value) -> list:
+    return [float(value)] if isinstance(value, (int, float)) else [float(x) for x in value]
+
+
+def _cap(value):
+    return None if value is None else _int(value)
+
+
+def _pulse(value) -> dict:
+    """A pulse mapping; keys left out take their PULSE values, null takes PULSE."""
+    value = {} if value is None else value
+    if not isinstance(value, dict):
+        raise TypeError("must be a mapping")
+    for key in value:
+        if key not in PULSE:
+            raise ValueError(f"unknown field 'drive.pulse.{key}'")
+    return {key: float(value.get(key, default)) for key, default in PULSE.items()}
+
+
+# Every config field once: attribute -> (path, cast, shared default,
+# {experiment: its own default}).  Units: Gamma and 1/Gamma.
+FIELDS = {
+    "Gamma_tau": ("physical.Gamma_tau", float, 2.0, {"purcell": 0.01}),
+    "phi": ("physical.phi", float, math.pi / 2, {}),
+    # block length over atom-mirror distance
+    "ratio": ("physical.ratio", float, 2.0, {}),
+    "N_A": ("model.N_A", _ints, [7], {"steady_sweep": [0, 1, 2]}),
+    "n_max": ("model.n_max", _int, 1, {"steady_sweep": 3, "scattering": 3}),
+    "max_excitations": (
+        "model.max_excitations", _cap, 1, {"steady_sweep": 3, "scattering": 5},
+    ),
+    "frame": ("model.frame", str, "rotating", {}),
+    "Omega_D": (
+        "drive.Omega_D", _floats, [],
+        {"steady_sweep": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]},
+    ),
+    "pulse": ("drive.pulse", _pulse, PULSE, {}),
+    "backend": ("solver.backend", str, "me", {"scattering": "mcwf"}),
+    "dt": ("solver.dt", float, 0.01, {}),
+    "t_max": ("solver.t_max", float, 6.0, {}),
+    "n_traj": ("solver.n_traj", _int, 1000, {}),
+    "seed": ("solver.seed", _int, 0, {}),
+    "substeps": ("solver.substeps", _int, 4, {}),
+    "sites_per_delay": ("solver.sites_per_delay", _int, 40, {}),
+    "leak_abort": ("solver.leak_abort", float, 0.05, {}),
+    "out_dir": ("output.directory", os.fspath, "runs", {}),
 }
-
-
-def _check_fields(node: dict, schema: dict, prefix: str = "") -> None:
-    """Reject keys outside the schema, naming the full field path."""
-    for key, value in node.items():
-        path = f"{prefix}{key}"
-        if key not in schema:
-            raise ConfigError(f"unknown field '{path}'")
-        if schema[key] is None or value is None:
-            continue
-        if not isinstance(value, dict):
-            raise ConfigError(f"field '{path}': must be a mapping")
-        _check_fields(value, schema[key], f"{path}.")
-
-
-def _get(block: dict, path: str, default=None, required=False, cast=None):
-    node = block
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if required:
-                raise ConfigError(f"missing required field '{path}'")
-            return default
-        node = node[part]
-    if cast is not None and node is not None:
-        try:
-            node = cast(node)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"field '{path}': {exc}") from exc
-    return node
+_BY_PATH = {spec[0]: name for name, spec in FIELDS.items()}
+_BLOCKS = {path.split(".")[0] for path in _BY_PATH}
+_UNSET = object()
 
 
 def _write_table(path, columns: dict) -> None:
@@ -109,89 +129,94 @@ def _write_table(path, columns: dict) -> None:
 
 @dataclass
 class ExperimentConfig:
+    """One experiment's settings; a field left out takes its FIELDS default.
+
+    Construction casts and validates every field, so a config either runs as
+    written or raises ConfigError naming the field's path.
+    """
+
     experiment: str
-    Gamma_tau: float = 2.0
-    phi: float = math.pi / 2
-    ratio: float = 2.0  # block length over atom-mirror distance
-    N_A: list = field(default_factory=lambda: [7])
-    n_max: int = 1
-    max_excitations: int | None = 1
-    frame: str = "rotating"
-    Omega_D: list = field(default_factory=list)
-    pulse: dict | None = None
-    backend: str = "me"
-    dt: float = 0.01
-    t_max: float = 6.0
-    n_traj: int = 1000
-    seed: int = 0
-    substeps: int = 4
-    sites_per_delay: int = 40
-    leak_abort: float = 0.05
-    out_dir: str = "runs"
+    Gamma_tau: float = _UNSET
+    phi: float = _UNSET
+    ratio: float = _UNSET
+    N_A: list = _UNSET
+    n_max: int = _UNSET
+    max_excitations: int | None = _UNSET
+    frame: str = _UNSET
+    Omega_D: list = _UNSET
+    pulse: dict = _UNSET
+    backend: str = _UNSET
+    dt: float = _UNSET
+    t_max: float = _UNSET
+    n_traj: int = _UNSET
+    seed: int = _UNSET
+    substeps: int = _UNSET
+    sites_per_delay: int = _UNSET
+    leak_abort: float = _UNSET
+    out_dir: str = _UNSET
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(
-                f"field 'experiment': {self.experiment!r} not in {EXPERIMENTS}"
-            )
-        if self.backend not in BACKENDS:
-            raise ConfigError(
-                f"field 'solver.backend': {self.backend!r} not in {BACKENDS}"
-            )
-        if self.Gamma_tau <= 0:
-            raise ConfigError("field 'physical.Gamma_tau': must be positive")
-        if self.dt <= 0 or self.t_max <= 0:
-            raise ConfigError("field 'solver.dt'/'solver.t_max': must be positive")
-        needs_delay = self.experiment in ("emission", "convergence")
-        if needs_delay and self.t_max < self.Gamma_tau:
-            raise ConfigError(
-                "field 'solver.t_max': the delay-equation reference needs at "
-                f"least one delay, physical.Gamma_tau = {self.Gamma_tau}"
-            )
-        if self.n_traj < 1:
-            raise ConfigError("field 'solver.n_traj': must be >= 1")
-        if self.substeps < 1:
-            raise ConfigError("field 'solver.substeps': must be >= 1")
-        if self.sites_per_delay < 2:
-            raise ConfigError("field 'solver.sites_per_delay': must be >= 2")
-        if any(n < 0 for n in self.N_A):
-            raise ConfigError("field 'model.N_A': entries must be non-negative")
-        if self.frame not in ("rotating", "lab"):
-            raise ConfigError("field 'model.frame': must be 'rotating' or 'lab'")
+        exp = self.experiment
+        if exp not in EXPERIMENTS:
+            raise ConfigError(f"field 'experiment': {exp!r} not in {EXPERIMENTS}")
+        for name, (path, cast, default, own) in FIELDS.items():
+            value = getattr(self, name)
+            try:
+                value = cast(own.get(exp, default) if value is _UNSET else value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"field '{path}': {exc}") from exc
+            setattr(self, name, value)
+        checks = [
+            (self.backend in BACKENDS[exp], "backend",
+             f"{self.backend!r} not in {BACKENDS[exp]} for {exp}"),
+            (self.Gamma_tau > 0, "Gamma_tau", "must be positive"),
+            # the short-delay limit the Purcell rates are compared in
+            (exp != "purcell" or self.Gamma_tau < 0.1, "Gamma_tau",
+             "purcell needs Gamma_tau < 0.1"),
+            (self.dt > 0, "dt", "must be positive"),
+            (self.t_max > 0, "t_max", "must be positive"),
+            (exp not in ("emission", "convergence") or self.t_max >= self.Gamma_tau,
+             "t_max", "the delay-equation reference needs at least one delay, "
+             f"physical.Gamma_tau = {self.Gamma_tau}"),
+            (self.n_traj >= 1, "n_traj", "must be >= 1"),
+            (self.substeps >= 1, "substeps", "must be >= 1"),
+            (self.sites_per_delay >= 2, "sites_per_delay", "must be >= 2"),
+            (all(n >= 0 for n in self.N_A), "N_A", "entries must be non-negative"),
+            (exp != "scattering" or len(self.N_A) == 1, "N_A",
+             "scattering runs one truncation order"),
+            (self.frame in ("rotating", "lab"), "frame", "must be 'rotating' or 'lab'"),
+            (exp not in ("scattering", "steady_sweep") or self.frame == "rotating",
+             "frame", f"{exp} runs in the rotating frame"),
+            (exp != "steady_sweep" or self.Omega_D, "Omega_D",
+             "steady_sweep needs at least one drive amplitude"),
+        ]
+        for ok, name, message in checks:
+            if not ok:
+                raise ConfigError(f"field '{FIELDS[name][0]}': {message}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """Parse nested config blocks; unknown fields are rejected by path."""
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a mapping")
-        _check_fields(raw, SCHEMA)
-        exp = _get(raw, "experiment", required=True)
-        NA = _get(raw, "model.N_A", default=[7])
-        if isinstance(NA, int):
-            NA = [NA]
-        OD = _get(raw, "drive.Omega_D", default=[])
-        if isinstance(OD, (int, float)):
-            OD = [float(OD)]
-        return cls(
-            experiment=exp,
-            Gamma_tau=_get(raw, "physical.Gamma_tau", 2.0, cast=float),
-            phi=_get(raw, "physical.phi", math.pi / 2, cast=float),
-            ratio=_get(raw, "physical.ratio", 2.0, cast=float),
-            N_A=[int(n) for n in NA],
-            n_max=_get(raw, "model.n_max", 1, cast=int),
-            max_excitations=_get(raw, "model.max_excitations", 1),
-            frame=_get(raw, "model.frame", "rotating"),
-            Omega_D=[float(o) for o in OD],
-            pulse=_get(raw, "drive.pulse"),
-            backend=_get(raw, "solver.backend", "me"),
-            dt=_get(raw, "solver.dt", 0.01, cast=float),
-            t_max=_get(raw, "solver.t_max", 6.0, cast=float),
-            n_traj=_get(raw, "solver.n_traj", 1000, cast=int),
-            seed=_get(raw, "solver.seed", 0, cast=int),
-            substeps=_get(raw, "solver.substeps", 4, cast=int),
-            sites_per_delay=_get(raw, "solver.sites_per_delay", 40, cast=int),
-            leak_abort=_get(raw, "solver.leak_abort", 0.05, cast=float),
-            out_dir=_get(raw, "output.directory", "runs"),
-        )
+        values = {}
+        for block, leaves in raw.items():
+            if block == "experiment":
+                continue
+            if block not in _BLOCKS:
+                raise ConfigError(f"unknown field '{block}'")
+            if leaves is None:
+                continue
+            if not isinstance(leaves, dict):
+                raise ConfigError(f"field '{block}': must be a mapping")
+            for leaf, value in leaves.items():
+                path = f"{block}.{leaf}"
+                if path not in _BY_PATH:
+                    raise ConfigError(f"unknown field '{path}'")
+                values[_BY_PATH[path]] = value
+        if "experiment" not in raw:
+            raise ConfigError("missing required field 'experiment'")
+        return cls(raw["experiment"], **values)
 
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":
@@ -202,32 +227,12 @@ class ExperimentConfig:
         return cls.from_dict(raw or {})
 
     def resolved(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "physical": {
-                "Gamma_tau": self.Gamma_tau,
-                "phi": self.phi,
-                "ratio": self.ratio,
-            },
-            "model": {
-                "N_A": self.N_A,
-                "n_max": self.n_max,
-                "max_excitations": self.max_excitations,
-                "frame": self.frame,
-            },
-            "drive": {"Omega_D": self.Omega_D, "pulse": self.pulse},
-            "solver": {
-                "backend": self.backend,
-                "dt": self.dt,
-                "t_max": self.t_max,
-                "n_traj": self.n_traj,
-                "seed": self.seed,
-                "substeps": self.substeps,
-                "sites_per_delay": self.sites_per_delay,
-                "leak_abort": self.leak_abort,
-            },
-            "output": {"directory": self.out_dir},
-        }
+        """The config as nested blocks, every field filled in."""
+        out = {"experiment": self.experiment}
+        for name, (path, *_) in FIELDS.items():
+            block, leaf = path.split(".")
+            out.setdefault(block, {})[leaf] = getattr(self, name)
+        return out
 
 
 def _write_provenance(out: Path, config: ExperimentConfig, runtime: float, extra=None):
@@ -419,13 +424,12 @@ PURCELL_PHIS = (math.pi / 2, math.pi, 3 * math.pi / 2)
 def run_purcell(config: ExperimentConfig, out_dir) -> list:
     """Short-delay decay rates: fitted vs 2*Gamma*sin^2(phi/2), per phi.
 
-    The limit needs Gamma_tau < 0.1; a larger config value runs at 0.01.
-    Provenance records the value run as ``Gamma_tau_used``.
+    The limit needs Gamma_tau < 0.1, which the config check enforces.
     """
     t0 = time.time()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    Gamma_tau = config.Gamma_tau if config.Gamma_tau < 0.1 else 1e-2
+    Gamma_tau = config.Gamma_tau
     rows = {"phi": [], "rate_theory": [], "rate_dde": [], "rate_model": []}
     dims = []
     for phi in PURCELL_PHIS:
@@ -443,9 +447,7 @@ def run_purcell(config: ExperimentConfig, out_dir) -> list:
         rows["rate_model"].append(rate_model)
     path = out / "purcell.csv"
     _write_table(path, {k: np.array(v) for k, v in rows.items()})
-    _write_provenance(
-        out, config, time.time() - t0, {"Gamma_tau_used": Gamma_tau, **_decay_solver(dims)}
-    )
+    _write_provenance(out, config, time.time() - t0, _decay_solver(dims))
     return [path]
 
 
@@ -505,28 +507,27 @@ def model_steady_state(
 
 
 def run_steady_sweep(config: ExperimentConfig, out_dir) -> list:
-    """Driven steady states per truncation order, plus the Markovian overlay."""
+    """Driven steady states per truncation order, plus the Markovian overlay.
+
+    A truncation order N_A > 1 runs at no more than two quanta: strong block
+    loss keeps photon numbers low, and the wider spaces stay small.  The
+    provenance's ``truncation`` list records what each N_A ran with.
+    """
     t0 = time.time()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    Omegas = config.Omega_D or [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
-    NAs = config.N_A if config.N_A != [7] else [0, 1, 2]
-    n_max = config.n_max if config.n_max > 1 else 3
-    base_cap = config.max_excitations
-    if base_cap is not None and base_cap <= 1:
-        base_cap = n_max
     truncation = []
-    for N_A in NAs:
-        # strong block loss keeps photon numbers low; two quanta suffice for
-        # the wider truncations
-        cap = base_cap if N_A <= 1 else min(base_cap or 2, 2)
-        n = min(n_max, cap) if cap is not None else n_max
+    for N_A in config.N_A:
+        cap = config.max_excitations
+        if N_A > 1:
+            cap = min(cap or 2, 2)
+        n = config.n_max if cap is None else min(config.n_max, cap)
         # the qubit plus the 2 N_A + 1 retained modes
         dim = CompositeSpace(2 * N_A + 1, n, cap).dim
         truncation.append({"N_A": N_A, "n_max": n, "max_excitations": cap, "dim": dim})
         rows = {"Omega_D": [], "rho_ee": [], "rho_eg_abs": []}
-        for OD in Omegas:
+        for OD in config.Omega_D:
             p_ee, coh = model_steady_state(
                 config.Gamma_tau, config.phi, config.ratio, N_A, OD,
                 n_max=n, max_excitations=cap,
@@ -551,21 +552,15 @@ def run_scattering(config: ExperimentConfig, out_dir) -> list:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     params = params_from_dimensionless(config.Gamma_tau, config.phi)
-    N_A = config.N_A[0]
+    (N_A,) = config.N_A
     L = snap_block_length(params, config.ratio)
     model = build_effective_model(params, L, N_A, frame="rotating")
     G = params.Gamma
-    pl = config.pulse or {}
+    pl = config.pulse
     spec = PulseSpec(
-        W=float(pl.get("W", 2.5)) * G,
-        t0=float(pl.get("t0", 2.0)) / G,
-        n_ph=float(pl.get("n_ph", 0.5)),
-        delta_in=float(pl.get("delta_in", 0.0)) * G,
+        W=pl["W"] * G, t0=pl["t0"] / G, n_ph=pl["n_ph"], delta_in=pl["delta_in"] * G
     )
-    n_max = config.n_max if config.n_max > 1 else 3
-    cap = config.max_excitations
-    if cap is not None and cap <= 1:
-        cap = n_max + 2
+    n_max, cap = config.n_max, config.max_excitations
     space = space_for_model(model, n_max=n_max, max_excitations=cap)
     drive_spec = DriveDissipationSpec(gamma=model.gamma)
     H = build_hamiltonian(model, drive_spec, space)

@@ -11,7 +11,6 @@ through the ranks of the occupations they reach.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -259,26 +258,10 @@ def _rank_offsets(factor_dims: tuple, cap: int):
 
 
 def as_csr(op) -> sp.csr_matrix:
-    """CSR form of an operator given as QuantumOperator, sparse or array-like."""
-    if isinstance(op, QuantumOperator):
-        op = op.matrix
+    """CSR form of a sparse or array-like operator."""
     if sp.issparse(op):
         return op.tocsr().astype(complex, copy=False)
     return sp.csr_matrix(np.asarray(op, dtype=complex))
-
-
-@dataclass(frozen=True)
-class QuantumOperator:
-    """Sparse (CSR) operator bound to the space it acts on."""
-
-    space: CompositeSpace
-    matrix: sp.csr_matrix
-
-    def __post_init__(self):
-        if self.matrix.shape != (self.space.dim, self.space.dim):
-            raise DimensionMismatchError(
-                f"matrix shape {self.matrix.shape} vs space dim {self.space.dim}"
-            )
 
 
 def destroy(dim: int) -> np.ndarray:

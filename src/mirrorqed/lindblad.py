@@ -19,7 +19,6 @@ from scipy.sparse.linalg import LinearOperator, eigs
 
 from .hilbert import (
     CompositeSpace,
-    QuantumOperator,
     as_csr,
     destroy,
     number_op,
@@ -105,7 +104,7 @@ def total_excitation_op(space: CompositeSpace) -> sp.csr_matrix:
 
 def build_hamiltonian(
     model: EffectiveModel, drive: DriveDissipationSpec, space: CompositeSpace
-) -> QuantumOperator:
+) -> sp.csr_matrix:
     """System Hamiltonian: atom + retained modes + couplings + drive.
 
     In the rotating frame the atom term vanishes and mode nu carries the
@@ -131,7 +130,7 @@ def build_hamiltonian(
         H += g * (adag_sm + adag_sm.conj().T)
     if drive.Omega_D != 0.0:
         H += 0.5 * drive.Omega_D * atom_op(space, sigma_x())
-    return QuantumOperator(space, H)
+    return H
 
 
 def build_jump_ops(

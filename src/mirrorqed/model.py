@@ -61,29 +61,8 @@ class PhysicalParams:
         return 2.0 * self.k0 * self.x0
 
     @property
-    def phi_mod(self) -> float:
-        """Round-trip phase reduced to [0, 2*pi)."""
-        return self.phi % (2.0 * math.pi)
-
-    @property
     def half_wavelength(self) -> float:
         return math.pi * self.v / self.omega0
-
-    def to_dict(self) -> dict:
-        return {
-            "omega0": self.omega0,
-            "v": self.v,
-            "x0": self.x0,
-            "g": self.g,
-            "Gamma": self.Gamma,
-            "tau": self.tau,
-            "phi": self.phi,
-            "phi_mod": self.phi_mod,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PhysicalParams":
-        return derive_params(d["omega0"], d["v"], d["x0"], d["g"])
 
 
 def derive_params(omega0: float, v: float, x0: float, g: float) -> PhysicalParams:
@@ -194,28 +173,6 @@ class EffectiveModel:
     def detunings(self) -> tuple:
         """Omega_nu - omega0 (mode frequencies in the rotating frame)."""
         return tuple(om - self.params.omega0 for om in self.Omega)
-
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "L": self.L,
-            "N_A": self.N_A,
-            "gamma": self.gamma,
-            "frame": self.frame,
-            "modes": [
-                {"nu": nu, "Omega_nu": om, "g_nu": g}
-                for nu, om, g in zip(self.nu, self.Omega, self.g_nu)
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EffectiveModel":
-        return cls(
-            params=PhysicalParams.from_dict(d["params"]),
-            L=d["L"],
-            N_A=d["N_A"],
-            frame=d.get("frame", "rotating"),
-        )
 
 
 def build_effective_model(

@@ -44,6 +44,14 @@ def test_out_and_seed_overrides(tmp_path):
     assert '"seed": 3' in prov
 
 
+@pytest.mark.parametrize("command, backend", [("purcell", "chain"), ("scattering", "me")])
+def test_backend_flag_is_validated(tmp_path, capsys, command, backend):
+    rc = cli.main([command, "--backend", backend, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    assert "'solver.backend'" in capsys.readouterr().err
+    assert not (tmp_path / "provenance.json").exists()
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     rc = cli.main(["emission", "--config", str(tmp_path / "absent.yaml")])
     assert rc == cli.EXIT_CONFIG

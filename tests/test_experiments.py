@@ -57,6 +57,16 @@ def test_config_nested_round_trip(tmp_path):
     assert ExperimentConfig.from_dict(r).resolved() == r
 
 
+def test_config_file_and_constructor_share_defaults():
+    # each experiment's defaults are pinned by README's table
+    # (test_readme_schema_example_parses)
+    for exp in experiments.EXPERIMENTS:
+        assert ExperimentConfig.from_dict({"experiment": exp}) == ExperimentConfig(experiment=exp)
+    # a partial pulse keeps the shared values of the keys it leaves out
+    c = ExperimentConfig.from_dict({"experiment": "scattering", "drive": {"pulse": {"n_ph": 0.05}}})
+    assert c.pulse == {"W": 2.5, "t0": 2.0, "n_ph": 0.05, "delta_in": 0.0}
+
+
 def test_config_range_checks():
     with pytest.raises(ConfigError, match="solver.substeps"):
         ExperimentConfig(experiment="scattering", substeps=0)
@@ -76,6 +86,29 @@ def test_config_range_checks():
 def test_config_unknown_field_rejected(raw, path):
     with pytest.raises(ConfigError, match=re.escape(f"'{path}'")):
         ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "raw, path",
+    [
+        ({"experiment": "scattering", "model": {"N_A": [2, 3]}}, "model.N_A"),
+        ({"experiment": "scattering", "model": {"frame": "lab"}}, "model.frame"),
+        ({"experiment": "steady_sweep", "model": {"frame": "lab"}}, "model.frame"),
+        ({"experiment": "steady_sweep", "drive": {"Omega_D": []}}, "drive.Omega_D"),
+        ({"experiment": "purcell", "physical": {"Gamma_tau": 2.0}}, "physical.Gamma_tau"),
+        ({"experiment": "emission", "solver": {"backend": "dde"}}, "solver.backend"),
+        ({"experiment": "scattering", "solver": {"backend": "me"}}, "solver.backend"),
+        ({"experiment": "emission", "model": {"N_A": [1.5]}}, "model.N_A"),
+        ({"experiment": "scattering", "model": {"n_max": 2.7}}, "model.n_max"),
+    ],
+)
+def test_cli_rejects_a_config_the_run_cannot_follow(tmp_path, capsys, raw, path):
+    p = tmp_path / "c.yaml"
+    p.write_text(yaml.safe_dump(raw))
+    command = raw["experiment"].replace("_", "-")
+    assert cli.main([command, "--config", str(p), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert f"'{path}'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_config_block_must_be_mapping():
@@ -125,9 +158,24 @@ def test_config_round_trip_with_pulse(pulse):
 
 def test_readme_schema_example_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(r"### Config schema.*?```yaml\n(.*?)```", readme, re.S).group(1)
-    c = ExperimentConfig.from_dict(yaml.safe_load(block))
+    schema = re.search(r"### Config schema.*?```yaml\n(.*?)```(.*?)\n\n(\|.*?)\n\n", readme, re.S)
+    shared = yaml.safe_load(schema.group(1))
+    c = ExperimentConfig.from_dict(shared)
     assert c.experiment == "emission" and c.pulse["W"] == 2.5
+    # each experiment's row: its backends, then its own defaults as `path: value`
+    rows = {}
+    for line in schema.group(3).splitlines()[2:]:
+        name, backends, own = (re.findall(r"`([^`]*)`", cell) for cell in line.split("|")[1:4])
+        rows[name[0]] = (tuple(backends), own)
+    assert rows.keys() == set(experiments.EXPERIMENTS)
+    for exp, (backends, own) in rows.items():
+        assert backends == experiments.BACKENDS[exp]
+        expected = {**{k: dict(v) for k, v in shared.items() if isinstance(v, dict)}, "experiment": exp}
+        for item in own:
+            ((path, value),) = yaml.safe_load(item).items()
+            block, leaf = path.split(".")
+            expected[block][leaf] = value
+        assert ExperimentConfig(experiment=exp).resolved() == expected, exp
 
 
 def test_config_bad_yaml_rejected(tmp_path):
@@ -274,16 +322,17 @@ def test_run_purcell_rates(tmp_path):
     )
     prov = json.loads((tmp_path / "provenance.json").read_text())
     assert prov["decay_solver"] == {"method": "amplitude", "dim": 3}
-    assert prov["Gamma_tau_used"] == 1e-2
+    assert prov["config"]["physical"]["Gamma_tau"] == 1e-2
+    assert "Gamma_tau_used" not in prov
 
 
 def test_run_purcell_records_the_delay_it_ran(tmp_path):
-    # the short-delay limit replaces the default Gamma_tau = 2 by 0.01
+    # purcell's own default is the short-delay Gamma_tau = 0.01, and the
+    # config records it
     _run(tmp_path / "a", experiment="purcell")
     _run(tmp_path / "b", experiment="purcell", Gamma_tau=1e-2)
     prov = json.loads((tmp_path / "a" / "provenance.json").read_text())
-    assert prov["config"]["physical"]["Gamma_tau"] == 2.0
-    assert prov["Gamma_tau_used"] == 1e-2
+    assert prov["config"]["physical"]["Gamma_tau"] == 1e-2
     csv = [(tmp_path / d / "purcell.csv").read_bytes() for d in "ab"]
     assert csv[0] == csv[1]
 

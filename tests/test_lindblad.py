@@ -208,7 +208,7 @@ def _small_model(N_A=1, Gamma_tau=2.0, phi=math.pi / 2):
 def test_hamiltonian_hermitian_and_excitation_conserving():
     m = _small_model(N_A=2)
     space = space_for_model(m, n_max=2, max_excitations=2)
-    H = build_hamiltonian(m, DriveDissipationSpec(gamma=m.gamma), space).matrix
+    H = build_hamiltonian(m, DriveDissipationSpec(gamma=m.gamma), space)
     assert np.max(np.abs(H - H.conj().T)) < 1e-12
     N = total_excitation_op(space)
     assert np.max(np.abs(H @ N - N @ H)) < 1e-10
@@ -217,7 +217,7 @@ def test_hamiltonian_hermitian_and_excitation_conserving():
 def test_drive_breaks_excitation_conservation():
     m = _small_model(N_A=0)
     space = space_for_model(m, n_max=1, max_excitations=1)
-    H = build_hamiltonian(m, DriveDissipationSpec(Omega_D=1.0, gamma=m.gamma), space).matrix
+    H = build_hamiltonian(m, DriveDissipationSpec(Omega_D=1.0, gamma=m.gamma), space)
     N = total_excitation_op(space)
     assert np.max(np.abs(H @ N - N @ H)) > 1e-3
 

@@ -5,6 +5,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from mirrorqed import mcwf
 from mirrorqed.hilbert import CompositeSpace, sigma_minus, sigma_plus, sigma_x
@@ -80,6 +81,35 @@ def test_no_jump_channels_is_deterministic_unitary():
     )
     assert np.allclose(res.observables["p"], np.sin(0.5 * t) ** 2, atol=1e-8)
     assert np.max(res.stderr["p"]) < 1e-8
+
+
+def test_drive_pair_adds_the_coefficient_times_op_plus_its_conjugate():
+    # a jump-free trajectory is the Schroedinger evolution under
+    # H + c(t) op + conj(c(t)) op+.  With c = (Omega/2) exp(i delta t) and
+    # op = sigma-, the pair drives the qubit detuned by delta on resonance;
+    # swapping c and conj(c) would drive it 2 delta off resonance.
+    delta, Omega = 1.5, 1.2
+    H = delta * np.diag([0.0, 1.0]).astype(complex)
+    op = sigma_minus()
+
+    def coeff(t):
+        return 0.5 * Omega * np.exp(1j * delta * t)
+
+    t = np.linspace(0.0, 4.0, 81)
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    res = mcwf_evolve(
+        H, [], psi0, t, n_traj=1, seed=0, td_terms=[(coeff, op)],
+        e_ops={"p": np.diag([0.0, 1.0]).astype(complex)}, substeps=20,
+    )
+
+    def schroedinger(tt, psi):
+        c = coeff(tt)
+        return -1j * ((H + c * op + np.conj(c) * op.conj().T) @ psi)
+
+    ref = solve_ivp(schroedinger, (t[0], t[-1]), psi0, t_eval=t, rtol=1e-11, atol=1e-12)
+    p_ref = np.abs(ref.y[1]) ** 2
+    assert p_ref.max() > 0.9  # a resonant Rabi flop
+    assert np.max(np.abs(res.observables["p"] - p_ref)) < 1e-8
 
 
 def test_same_seed_reproduces_bitwise():

@@ -120,14 +120,3 @@ def test_block_shorter_than_mirror_distance_rejected():
     p = params_from_dimensionless(2.0, math.pi / 2)
     with pytest.raises(GeometryError):
         build_effective_model(p, 0.5 * p.x0, N_A=1)
-
-
-def test_model_round_trips_through_dict():
-    p = params_from_dimensionless(0.25, math.pi)
-    L = snap_block_length(p, 1.0)
-    m = build_effective_model(p, L, N_A=2)
-    from mirrorqed.model import EffectiveModel
-
-    m2 = EffectiveModel.from_dict(m.to_dict())
-    assert m2.g_nu == pytest.approx(m.g_nu)
-    assert m2.Omega == pytest.approx(m.Omega)

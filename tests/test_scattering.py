@@ -132,9 +132,9 @@ def test_pulse_scattering_conserves_photon_number():
 
 
 def test_default_scattering_operators_build_in_small_memory():
-    # the default `mirrorqed scattering` run: N_A = 7, and the runner's
-    # effective truncation n_max 3, cap 5 (dim 19125); one dense dim x dim
-    # complex matrix would take 5.85 GB
+    # the default `mirrorqed scattering` run: N_A = 7 and scattering's own
+    # n_max 3, cap 5 (dim 19125); one dense dim x dim complex matrix would
+    # take 5.85 GB
     config = ExperimentConfig(experiment="scattering")
     p = params_from_dimensionless(config.Gamma_tau, config.phi)
     model = build_effective_model(p, snap_block_length(p, config.ratio), config.N_A[0])
@@ -142,7 +142,7 @@ def test_default_scattering_operators_build_in_small_memory():
     drive = DriveDissipationSpec(gamma=model.gamma)
     tracemalloc.start()
     try:
-        space = space_for_model(model, n_max=3, max_excitations=5)
+        space = space_for_model(model, n_max=config.n_max, max_excitations=config.max_excitations)
         H = build_hamiltonian(model, drive, space)
         (J, _), = build_jump_ops(model, drive, space)
         _, Adag = build_drive_term(model, spec, space)
@@ -155,7 +155,7 @@ def test_default_scattering_operators_build_in_small_memory():
     finally:
         tracemalloc.stop()
     assert space.dim == 19125
-    for op in (H.matrix, J, Adag, N):
+    for op in (H, J, Adag, N):
         assert isinstance(op, scipy.sparse.csr_matrix)
     assert mask.shape == (space.dim,)
     assert i_out == pytest.approx(abs(gaussian_envelope(spec, spec.t0)) ** 2)
