@@ -328,15 +328,20 @@ def _decay_solver(dims) -> dict:
     return {"decay_solver": {"method": "amplitude", "dim": max(dims)}}
 
 
-def _dde_on_grid(config: ExperimentConfig, t: np.ndarray) -> np.ndarray:
-    dde = solve_delay_ode(
-        1.0,
-        config.Gamma_tau,
-        config.phi,
-        t_max=float(t[-1]),
-        dt=config.Gamma_tau / 2000,
-    )
-    return np.interp(t, dde.t, dde.population)
+def _solve_dde(Gamma_tau, phi, t_max, steps_per_delay):
+    """Exact delay curve at Gamma = 1, and the provenance record of its grid."""
+    dt = Gamma_tau / steps_per_delay
+    dde = solve_delay_ode(1.0, Gamma_tau, phi, t_max=t_max, dt=dt)
+    grid = {"dt": dt, "steps": len(dde.t) - 1, "steps_per_delay": steps_per_delay}
+    return dde, grid
+
+
+def _dde_on_grid(config: ExperimentConfig):
+    """(output grid, exact population on it, provenance entry of the solve)."""
+    n_pts = int(round(config.t_max / config.dt)) + 1
+    t = np.linspace(0.0, config.t_max, n_pts)  # units of 1/Gamma
+    dde, grid = _solve_dde(config.Gamma_tau, config.phi, float(t[-1]), 2000)
+    return t, np.interp(t, dde.t, dde.population), {"dde_solver": [grid]}
 
 
 def run_emission(config: ExperimentConfig, out_dir) -> list:
@@ -345,12 +350,9 @@ def run_emission(config: ExperimentConfig, out_dir) -> list:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    extra = None
-    n_pts = int(round(config.t_max / config.dt)) + 1
-    t = np.linspace(0.0, config.t_max, n_pts)  # units of 1/Gamma
-
+    t, pop_dde, extra = _dde_on_grid(config)
     path = out / "emission_dde.csv"
-    _write_table(path, {"t": t, "atom_population": _dde_on_grid(config, t)})
+    _write_table(path, {"t": t, "atom_population": pop_dde})
     written.append(path)
 
     if config.backend == "chain":
@@ -379,7 +381,7 @@ def run_emission(config: ExperimentConfig, out_dir) -> list:
             path = out / f"emission_me_NA{N_A}.csv"
             _write_table(path, {"t": t, "atom_population": pop})
             written.append(path)
-        extra = _decay_solver(dims)
+        extra.update(_decay_solver(dims))
     _write_provenance(out, config, time.time() - t0, extra)
     return written
 
@@ -389,9 +391,7 @@ def run_convergence(config: ExperimentConfig, out_dir) -> list:
     t0 = time.time()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    n_pts = int(round(config.t_max / config.dt)) + 1
-    t = np.linspace(0.0, config.t_max, n_pts)
-    pop_dde = _dde_on_grid(config, t)
+    t, pop_dde, extra = _dde_on_grid(config)
     errors, dims = [], []
     for N_A in config.N_A:
         pop, dim = _amplitude_decay(
@@ -409,12 +409,8 @@ def run_convergence(config: ExperimentConfig, out_dir) -> list:
         path,
         {"N_A": np.array(config.N_A, dtype=float), "max_error": np.array(errors)},
     )
-    _write_provenance(
-        out,
-        config,
-        time.time() - t0,
-        extra={"non_monotonic_at": non_monotone, **_decay_solver(dims)},
-    )
+    extra.update(non_monotonic_at=non_monotone, **_decay_solver(dims))
+    _write_provenance(out, config, time.time() - t0, extra)
     return [path]
 
 
@@ -424,30 +420,34 @@ PURCELL_PHIS = (math.pi / 2, math.pi, 3 * math.pi / 2)
 def run_purcell(config: ExperimentConfig, out_dir) -> list:
     """Short-delay decay rates: fitted vs 2*Gamma*sin^2(phi/2), per phi.
 
-    The limit needs Gamma_tau < 0.1, which the config check enforces.
+    The limit needs Gamma_tau < 0.1, which the config check enforces.  The
+    model runs N_A = 0 at ratio 1 whatever the config says; provenance says so.
     """
     t0 = time.time()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     Gamma_tau = config.Gamma_tau
-    rows = {"phi": [], "rate_theory": [], "rate_dde": [], "rate_model": []}
-    dims = []
+    N_A, ratio = 0, 1.0
+    rows, dims, grids = [], [], []
     for phi in PURCELL_PHIS:
         theory = markovian_rate(1.0, phi)
         t_fit = 2.0 / theory
-        dde = solve_delay_ode(1.0, Gamma_tau, phi, t_max=t_fit, dt=Gamma_tau / 50)
-        rate_dde = fit_decay_rate(dde.t, dde.population)
+        dde, grid = _solve_dde(Gamma_tau, phi, t_fit, 50)
         tg = np.linspace(0.0, t_fit, 201)
-        pop, dim = _amplitude_decay(Gamma_tau, phi, 1.0, 0, tg)
+        pop, dim = _amplitude_decay(Gamma_tau, phi, ratio, N_A, tg)
+        rate_dde = fit_decay_rate(dde.t, dde.population)
+        rows.append((phi, theory, rate_dde, fit_decay_rate(tg, pop)))
         dims.append(dim)
-        rate_model = fit_decay_rate(tg, pop)
-        rows["phi"].append(phi)
-        rows["rate_theory"].append(theory)
-        rows["rate_dde"].append(rate_dde)
-        rows["rate_model"].append(rate_model)
+        grids.append(grid)
     path = out / "purcell.csv"
-    _write_table(path, {k: np.array(v) for k, v in rows.items()})
-    _write_provenance(out, config, time.time() - t0, _decay_solver(dims))
+    names = ("phi", "rate_theory", "rate_dde", "rate_model")
+    _write_table(path, dict(zip(names, np.array(rows).T)))
+    extra = {
+        "purcell_run": {"phi": PURCELL_PHIS, "N_A": N_A, "ratio": ratio},
+        "dde_solver": grids,
+        **_decay_solver(dims),
+    }
+    _write_provenance(out, config, time.time() - t0, extra)
     return [path]
 
 

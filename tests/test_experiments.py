@@ -337,6 +337,27 @@ def test_run_purcell_records_the_delay_it_ran(tmp_path):
     assert csv[0] == csv[1]
 
 
+def test_decay_runs_record_their_delay_grids(tmp_path):
+    # each exact delay solve is recorded with its grid; purcell also records
+    # the phases and the model rung it ran, not the config's N_A, ratio, phi
+    common = dict(Gamma_tau=2.0, phi=math.pi / 2, N_A=[1], t_max=2.0, dt=0.05)
+    emission_grid = {"dt": 1e-3, "steps": 2000, "steps_per_delay": 2000}
+    for experiment in ("emission", "convergence"):
+        _run(tmp_path / experiment, experiment=experiment, **common)
+        prov = json.loads((tmp_path / experiment / "provenance.json").read_text())
+        assert prov["dde_solver"] == [emission_grid]
+    _run(tmp_path / "purcell", experiment="purcell", N_A=[7], ratio=2.0)
+    prov = json.loads((tmp_path / "purcell" / "provenance.json").read_text())
+    assert prov["dde_solver"] == [
+        {"dt": 2e-4, "steps": steps, "steps_per_delay": 50}
+        for steps in (10000, 5000, 10000)
+    ]
+    assert prov["purcell_run"] == {
+        "phi": [math.pi / 2, math.pi, 3 * math.pi / 2], "N_A": 0, "ratio": 1.0,
+    }
+    assert prov["config"]["model"]["N_A"] == [7]
+
+
 def test_run_steady_sweep_outputs(tmp_path):
     c, written = _run(
         tmp_path, experiment="steady_sweep", Gamma_tau=0.25, phi=math.pi,
