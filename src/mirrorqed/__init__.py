@@ -13,7 +13,6 @@ from .model import (
     EffectiveModel,
     PhysicalParams,
     build_effective_model,
-    derive_params,
     params_from_dimensionless,
     snap_block_length,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "__version__",
     "PhysicalParams",
     "EffectiveModel",
-    "derive_params",
     "params_from_dimensionless",
     "snap_block_length",
     "build_effective_model",

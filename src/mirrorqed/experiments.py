@@ -366,6 +366,10 @@ def run_emission(config: ExperimentConfig, out_dir) -> list:
             t_max=1.05 * config.t_max,
         )
         res = evolve_sector(spec, {(1, ()): 1.0}, t, max_excitations=1)
+        extra["chain_solver"] = {
+            k: res.meta[k]
+            for k in ("method", "dim", "steps", "terms_per_step", "spectral_interval")
+        }
         path = out / "emission_chain.csv"
         _write_table(
             path, {"t": t, "atom_population": res.observables["atom_population"]}

@@ -163,37 +163,63 @@ class CompositeSpace:
         ladder operators: a hop into a mode at n_max is dropped, and as the
         excitation number is conserved the cap drops nothing.
         """
-        h = sp.csr_matrix(h)
+        h = sp.csc_matrix(h)
         if h.shape != (self.n_modes, self.n_modes):
             raise DimensionMismatchError(
                 f"{self.n_modes} modes, one-body matrix is {h.shape}"
             )
+        h.sort_indices()
         n = self._occ[:, 1:]
-        # one term per state s, occupied mode j and entry h[i, j]: row p of
-        # pick @ h.T is column j_p of h
-        s, j = np.nonzero(n)
-        at = np.arange(len(s))
-        pick = sp.csr_matrix((np.ones(len(s)), (at, j)), shape=(len(s), self.n_modes))
-        terms = (pick @ h.T).tocoo()
-        s, i, j, val = s[terms.row], terms.col, j[terms.row], terms.data
+        occ_row, occ_k = np.nonzero(self._occ)  # row by row, factors in order
+        # one term per state s, occupied mode j and entry h[i, j] of column j
+        on_mode = occ_k > 0
+        s, j = occ_row[on_mode], occ_k[on_mode] - 1
+        count = np.diff(h.indptr)[j]
+        at = _ranges(h.indptr[j], count)
+        s, j, i, val = np.repeat(s, count), np.repeat(j, count), h.indices[at], h.data[at]
         hop_in = (i != j).astype(np.int64)  # 0 where a_i+ a_i counts photons
         room = n[s, i] + hop_in <= self.n_max
         s, i, j, val, hop_in = s[room], i[room], j[room], val[room], hop_in[room]
-        # the occupations reached, one sparse row per term
-        at, one = np.arange(len(s)), np.ones(len(s), dtype=np.int64)
-        shape = (len(s), self.n_factors)
-        moved = (
-            sp.csr_matrix(self._occ)[s]
-            + sp.csr_matrix((one, (at, 1 + i)), shape=shape)
-            - sp.csr_matrix((one, (at, 1 + j)), shape=shape)
-        )
-        moved.sort_indices()
-        moved = moved.tocoo()  # row by row, factors in order
-        rows = self._rank_entries(len(s), moved.row, moved.col, moved.data)
+        # the occupations reached: term t's entries of occ[s], plus one quantum
+        # on factor 1 + i and minus one on 1 + j, merged per (t, factor)
+        first = np.searchsorted(occ_row, s)
+        held = np.searchsorted(occ_row, s, side="right") - first
+        src = _ranges(first, held)
+        t = np.arange(len(s))
+        term = np.concatenate([np.repeat(t, held), t, t])
+        key = self.n_factors * term + np.concatenate([occ_k[src], 1 + i, 1 + j])
+        dn = np.concatenate([self._occ[occ_row[src], occ_k[src]], hop_in, -hop_in])
+        order = np.argsort(key, kind="stable")
+        key, dn = key[order], dn[order]
+        start = np.flatnonzero(np.diff(key, prepend=-1))
+        key, dn = key[start], np.add.reduceat(dn, start)
+        key, dn = key[dn != 0], dn[dn != 0]
+        rows = self._rank_entries(len(s), key // self.n_factors, key % self.n_factors, dn)
         amp = val * np.sqrt(n[s, j] * (n[s, i] + hop_in))
         out = sp.csr_matrix((amp, (rows, s)), shape=(self.dim, self.dim), dtype=complex)
         out.eliminate_zeros()  # diagonal terms of several modes may cancel
         return out
+
+    def lowering(self, weights) -> sp.csr_matrix:
+        """Lift sum_nu weights[nu] a_nu over the modes (one weight per mode).
+
+        Equal to sum_nu weights[nu] embed(destroy, mode_factor(nu)): a lowering
+        never leaves the kept space, so each occupied mode of each state gives
+        one entry, sqrt(n) weights[nu] into the state with one quantum fewer.
+        """
+        weights = np.asarray(weights)
+        if weights.shape != (self.n_modes,):
+            raise DimensionMismatchError(
+                f"{self.n_modes} modes, {weights.shape} lowering weights"
+            )
+        n = self._occ[:, 1:]
+        s, j = np.nonzero(n)
+        target = self._occ[s]
+        target[np.arange(len(s)), 1 + j] -= 1
+        amp = weights[j] * np.sqrt(n[s, j])
+        return sp.csr_matrix(
+            (amp, (self._rank(target), s)), shape=(self.dim, self.dim), dtype=complex
+        )
 
     def mode_factor(self, mode: int) -> int:
         """Factor index of the mode at storage position ``mode`` (0-based)."""
@@ -226,6 +252,13 @@ class CompositeSpace:
         out[0] = pop[atom == 0].sum(), rho[ground, excited].sum()
         out[1] = rho[excited, ground].sum(), pop[excited].sum()
         return out
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The aranges starts[t] .. starts[t] + counts[t], concatenated."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - ends + counts, counts)
 
 
 def _rank_offsets(factor_dims: tuple, cap: int):

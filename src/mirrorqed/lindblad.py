@@ -17,15 +17,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import get_lapack_funcs, schur
 from scipy.sparse.linalg import LinearOperator, eigs
 
-from .hilbert import (
-    CompositeSpace,
-    as_csr,
-    destroy,
-    number_op,
-    sigma_minus,
-    sigma_plus,
-    sigma_x,
-)
+from .hilbert import CompositeSpace, as_csr, sigma_minus, sigma_x
 from .mcwf import effective_hamiltonian
 from .model import EffectiveModel, ParameterError
 from .results import EvolutionResult
@@ -50,25 +42,18 @@ class StepSizeUnderflowError(RuntimeError):
 
 @dataclass(frozen=True)
 class DriveDissipationSpec:
-    """Drive and dissipation rates attached to a model.
+    """Drive and block-loss rates attached to a model.
 
-    jump_mode selects the block-loss channel: "collective" applies the loss
-    to the sum of all retained modes (the waveguide output channel), "single"
-    to the resonant mode only (the bipartite atom + mode-0 picture).
+    gamma applies the loss to the sum of all retained modes, the waveguide
+    output channel.
     """
 
     Omega_D: float = 0.0
-    kappa: float = 0.0
-    kappa_phi: float = 0.0
     gamma: float = 0.0
-    jump_mode: str = "collective"
 
     def __post_init__(self):
-        for name in ("kappa", "kappa_phi", "gamma"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be non-negative")
-        if self.jump_mode not in ("collective", "single"):
-            raise ParameterError(f"unknown jump_mode {self.jump_mode!r}")
+        if self.gamma < 0:
+            raise ParameterError("gamma must be non-negative")
 
 
 def space_for_model(
@@ -81,25 +66,18 @@ def atom_op(space: CompositeSpace, local: np.ndarray) -> sp.csr_matrix:
     return space.embed(local, 0)
 
 
-def mode_op(space: CompositeSpace, local: np.ndarray, mode: int) -> sp.csr_matrix:
-    return space.embed(local, space.mode_factor(mode))
-
-
 def collective_mode_op(space: CompositeSpace) -> sp.csr_matrix:
     """A = sum_nu a_nu, the operator coupling block A to the output channel."""
-    a = destroy(space.n_max + 1)
-    out = sp.csr_matrix((space.dim, space.dim), dtype=complex)
-    for m in range(space.n_modes):
-        out += mode_op(space, a, m)
-    return out
+    return space.lowering(np.ones(space.n_modes))
 
 
 def total_excitation_op(space: CompositeSpace) -> sp.csr_matrix:
-    out = atom_op(space, np.diag([0.0, 1.0]).astype(complex))
-    n = number_op(space.n_max + 1)
-    for m in range(space.n_modes):
-        out += mode_op(space, n, m)
-    return out
+    """The excitation number as a diagonal CSR, without the vacuum's zero."""
+    n = space.excitations()
+    (at,) = np.nonzero(n)
+    return sp.csr_matrix(
+        (n[at].astype(complex), (at, at)), shape=(space.dim, space.dim)
+    )
 
 
 def build_hamiltonian(
@@ -108,26 +86,20 @@ def build_hamiltonian(
     """System Hamiltonian: atom + retained modes + couplings + drive.
 
     In the rotating frame the atom term vanishes and mode nu carries the
-    detuning nu*pi*v/L; the lab frame keeps the absolute frequencies.
+    detuning nu*pi*v/L; the lab frame keeps the absolute frequencies.  The
+    couplings are G+ sigma- + h.c. with G = sum_nu g_nu a_nu.
     """
     if space.n_modes != model.n_modes:
         raise ParameterError(
             f"space has {space.n_modes} modes, model retains {model.n_modes}"
         )
-    adag = destroy(space.n_max + 1).T
-    sm = atom_op(space, sigma_minus())
-    H = sp.csr_matrix((space.dim, space.dim), dtype=complex)
+    freqs = model.Omega if model.frame == "lab" else model.detunings()
+    H = space.one_body(np.diag(freqs))
     if model.frame == "lab":
-        H += model.params.omega0 * atom_op(space, np.diag([0.0, 1.0]).astype(complex))
-        freqs = model.Omega
-    else:
-        freqs = model.detunings()
-    n_local = number_op(space.n_max + 1)
-    for m, (freq, g) in enumerate(zip(freqs, model.g_nu)):
-        if freq != 0.0:
-            H += freq * mode_op(space, n_local, m)
-        adag_sm = mode_op(space, adag, m) @ sm
-        H += g * (adag_sm + adag_sm.conj().T)
+        H = model.params.omega0 * atom_op(space, np.diag([0.0, 1.0])) + H
+    couple = space.lowering(model.g_nu).conj().T @ atom_op(space, sigma_minus())
+    couple.sort_indices()  # canonical, so that the sums below stay canonical
+    H = H + couple + couple.conj().T
     if drive.Omega_D != 0.0:
         H += 0.5 * drive.Omega_D * atom_op(space, sigma_x())
     return H
@@ -136,19 +108,10 @@ def build_hamiltonian(
 def build_jump_ops(
     model: EffectiveModel, drive: DriveDissipationSpec, space: CompositeSpace
 ) -> list:
-    """(operator, rate) pairs for the block loss and any atomic channels."""
-    jumps = []
+    """(operator, rate) pairs: the collective block loss, when there is any."""
     if drive.gamma > 0 and space.n_modes > 0:
-        if drive.jump_mode == "collective":
-            op = collective_mode_op(space)
-        else:
-            op = mode_op(space, destroy(space.n_max + 1), model.mode_index(0))
-        jumps.append((op, drive.gamma))
-    if drive.kappa > 0:
-        jumps.append((atom_op(space, sigma_minus()), drive.kappa))
-    if drive.kappa_phi > 0:
-        jumps.append((atom_op(space, sigma_plus() @ sigma_minus()), drive.kappa_phi))
-    return jumps
+        return [(collective_mode_op(space), drive.gamma)]
+    return []
 
 
 def _require_hermitian(M, what: str) -> None:

@@ -65,11 +65,6 @@ class PhysicalParams:
         return math.pi * self.v / self.omega0
 
 
-def derive_params(omega0: float, v: float, x0: float, g: float) -> PhysicalParams:
-    """Validate raw inputs and package them with the derived rate triple."""
-    return PhysicalParams(omega0=omega0, v=v, x0=x0, g=g)
-
-
 def params_from_dimensionless(
     Gamma_tau: float,
     phi: float,
@@ -95,7 +90,7 @@ def params_from_dimensionless(
     if m % 2:
         m += 1
     omega0 = (phi + 2.0 * math.pi * m) / tau
-    return derive_params(omega0, v, x0, g)
+    return PhysicalParams(omega0=omega0, v=v, x0=x0, g=g)
 
 
 def snap_block_length(params: PhysicalParams, ratio: float) -> float:

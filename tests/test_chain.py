@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from mirrorqed.chain import (
     CalibrationError,
     block_transform,
     calibrate_chain,
+    chebyshev_evolve,
     continuum_couplings,
     evolve_sector,
     sector_hamiltonian,
@@ -169,3 +171,41 @@ def test_sector_evolution_rejects_nonuniform_grid():
                            t_max=2.0)
     with pytest.raises(ValueError, match="uniform"):
         evolve_sector(spec, EXC, np.array([0.0, 0.5, 1.5]))
+
+
+@pytest.mark.parametrize("max_excitations", [1, 2])
+@pytest.mark.parametrize("step", [0.05, 1.5])  # the decay grid; half-width x step 15-33
+def test_chebyshev_steps_match_dense_propagator(max_excitations, step):
+    spec = calibrate_chain(Gamma=1.0, tau=1.0, phi=math.pi / 2, sites_per_delay=4,
+                           t_max=2.0)
+    H, space = sector_hamiltonian(spec, max_excitations)
+    rng = np.random.default_rng(max_excitations)
+    psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    psi /= np.linalg.norm(psi)
+    h = step / spec.Gamma
+    states, record = chebyshev_evolve(H, psi, h, 20)
+    U = expm(-1j * h * H.toarray())
+    ref = [psi]
+    for _ in range(20):
+        ref.append(U @ ref[-1])
+    assert np.max(np.abs(states - np.array(ref))) < 1e-12
+    lo, hi = record["spectral_interval"]
+    eig = np.linalg.eigvalsh(H.toarray())
+    assert lo <= eig[0] and eig[-1] <= hi
+    assert record["method"] == "chebyshev" and record["terms_per_step"] > 1
+
+
+def test_sector_evolution_records_its_propagator():
+    spec = calibrate_chain(Gamma=1.0, tau=1.0, phi=math.pi, sites_per_delay=8,
+                           t_max=2.0)
+    res = evolve_sector(spec, EXC, np.linspace(0.0, 2.0, 9), max_excitations=1)
+    assert res.meta["dim"] == spec.N + 2 and res.meta["steps"] == 8
+    assert res.meta["method"] == "chebyshev"
+
+
+def test_sector_evolution_starts_at_zero():
+    # psi0 is the state at t = 0, so a grid that starts elsewhere is refused
+    spec = calibrate_chain(Gamma=1.0, tau=1.0, phi=math.pi, sites_per_delay=8,
+                           t_max=2.0)
+    with pytest.raises(ValueError, match="t = 0"):
+        evolve_sector(spec, EXC, np.linspace(0.5, 1.5, 5))

@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 from mirrorqed import cli, experiments
+from mirrorqed.chain import calibrate_chain
 from mirrorqed.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -356,6 +357,22 @@ def test_decay_runs_record_their_delay_grids(tmp_path):
         "phi": [math.pi / 2, math.pi, 3 * math.pi / 2], "N_A": 0, "ratio": 1.0,
     }
     assert prov["config"]["model"]["N_A"] == [7]
+
+
+def test_chain_emission_records_its_propagator(tmp_path):
+    _run(tmp_path, experiment="emission", backend="chain", Gamma_tau=2.0,
+         phi=math.pi / 2, t_max=2.0, dt=0.05, sites_per_delay=10)
+    prov = json.loads((tmp_path / "provenance.json").read_text())
+    record = prov["chain_solver"]
+    assert record["method"] == "chebyshev"
+    assert record["steps"] == 40
+    # the runner calibrates for 5 % beyond t_max; vacuum + atom + one photon per site
+    assert record["dim"] == 2 + calibrate_chain(
+        1.0, 2.0, math.pi / 2, sites_per_delay=10, t_max=1.05 * 2.0
+    ).N
+    assert record["terms_per_step"] > 1
+    lo, hi = record["spectral_interval"]
+    assert lo < 0.0 < hi  # the atom sits at zero energy, inside the band
 
 
 def test_run_steady_sweep_outputs(tmp_path):

@@ -236,6 +236,34 @@ def test_one_body_rejects_wrong_shape():
         CompositeSpace(n_modes=3, n_max=1).one_body(np.eye(2))
 
 
+@given(
+    n_modes=st.integers(0, 4),
+    n_max=st.integers(0, 3),
+    cap=st.none() | st.integers(0, 5),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_lowering_equals_weighted_sum_of_embeds(n_modes, n_max, cap, data):
+    space = CompositeSpace(n_modes, n_max, max_excitations=cap)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # some weights exactly zero, some complex
+    w = (rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)) * (
+        rng.random(n_modes) < 0.7
+    )
+    a = destroy(n_max + 1)
+    ref = np.zeros((space.dim, space.dim), dtype=complex)
+    for i in range(n_modes):
+        ref += w[i] * space.embed(a, space.mode_factor(i)).toarray()
+    built = space.lowering(w)
+    assert isinstance(built, scipy.sparse.csr_matrix)
+    assert np.array_equal(built.toarray(), ref)
+
+
+def test_lowering_rejects_wrong_weight_count():
+    with pytest.raises(DimensionMismatchError):
+        CompositeSpace(n_modes=3, n_max=1).lowering(np.ones(2))
+
+
 @pytest.mark.parametrize(
     "n_modes, n_max, cap",
     [

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorqed.hilbert import as_csr, sigma_minus, sigma_plus, sigma_x
+from mirrorqed.hilbert import as_csr, destroy, number_op, sigma_minus, sigma_plus, sigma_x
 from mirrorqed.lindblad import (
     DriveDissipationSpec,
     NonHermitianError,
@@ -225,25 +225,66 @@ def test_drive_breaks_excitation_conservation():
 def test_jump_ops_channels():
     m = _small_model(N_A=1)
     space = space_for_model(m, n_max=1, max_excitations=1)
-    drive = DriveDissipationSpec(gamma=m.gamma, kappa=0.2, kappa_phi=0.3)
-    jumps = build_jump_ops(m, drive, space)
-    assert len(jumps) == 3
-    op, rate = jumps[0]
+    (op, rate), = build_jump_ops(m, DriveDissipationSpec(gamma=m.gamma), space)
     assert rate == pytest.approx(m.gamma)
     assert np.allclose(op.toarray(), collective_mode_op(space).toarray())
-    assert jumps[1][1] == pytest.approx(0.2)
-    assert jumps[2][1] == pytest.approx(0.3)
+    assert build_jump_ops(m, DriveDissipationSpec(), space) == []
 
 
-def test_single_mode_jump_variant():
-    m = _small_model(N_A=1)
-    space = space_for_model(m, n_max=1, max_excitations=1)
-    drive = DriveDissipationSpec(gamma=m.gamma, jump_mode="single")
-    (op, rate), = build_jump_ops(m, drive, space)
-    # acts on the resonant mode only: annihilates a photon in mode nu=0
-    psi = space.basis_state((0, 0, 1, 0))
-    out = op @ psi
-    assert np.linalg.norm(out - space.basis_state((0, 0, 0, 0))) < 1e-12
+def _per_mode_operators(model, drive, space):
+    """The per-mode embed loops that built H, A and N before the one-shot lifts
+    (rotating frame)."""
+    mode = space.mode_factor
+    a = destroy(space.n_max + 1)
+    n_local = number_op(space.n_max + 1)
+    sm = space.embed(sigma_minus(), 0)
+    H = sp.csr_matrix((space.dim, space.dim), dtype=complex)
+    A = sp.csr_matrix((space.dim, space.dim), dtype=complex)
+    N = space.embed(np.diag([0.0, 1.0]).astype(complex), 0)
+    for m, (freq, g) in enumerate(zip(model.detunings(), model.g_nu)):
+        if freq != 0.0:
+            H += freq * space.embed(n_local, mode(m))
+        adag_sm = space.embed(a.T, mode(m)) @ sm
+        H += g * (adag_sm + adag_sm.conj().T)
+        A += space.embed(a, mode(m))
+        N += space.embed(n_local, mode(m))
+    if drive.Omega_D != 0.0:
+        H += 0.5 * drive.Omega_D * space.embed(sigma_x(), 0)
+    return H, A, N
+
+
+def _same_csr(x, y):
+    return (
+        np.array_equal(x.indptr, y.indptr)
+        and np.array_equal(x.indices, y.indices)
+        and x.data.tobytes() == y.data.tobytes()
+    )
+
+
+@pytest.mark.parametrize(
+    "Gamma_tau, phi, ratio, N_A, n_max, cap, Omega_D",
+    # criterion 7 (its N_A ladder), criterion 8, criterion 9, then the decay ladder
+    [(0.25, math.pi, 1.0, N_A, 3, 3, 4.0) for N_A in (0, 1)]
+    + [(0.25, math.pi, 1.0, N_A, 2, 2, 4.0) for N_A in (2, 3)]
+    + [(0.25, math.pi, 1.0, 0, 3, 3, 2.0), (4.0, math.pi / 2, 2.0, 2, 3, 5, 0.0)]
+    + [(2.0, math.pi / 2, 2.0, N_A, 1, 1, 0.0) for N_A in range(1, 16)],
+)
+def test_model_operators_are_bitwise_the_per_mode_sums(
+    Gamma_tau, phi, ratio, N_A, n_max, cap, Omega_D
+):
+    p = params_from_dimensionless(Gamma_tau, phi)
+    m = build_effective_model(p, snap_block_length(p, ratio), N_A)
+    space = space_for_model(m, n_max=n_max, max_excitations=cap)
+    drive = DriveDissipationSpec(Omega_D=Omega_D * p.Gamma, gamma=m.gamma)
+    H, A, N = _per_mode_operators(m, drive, space)
+    assert _same_csr(build_hamiltonian(m, drive, space), H)
+    assert _same_csr(collective_mode_op(space), A)
+    assert _same_csr(total_excitation_op(space), N)
+    # and so the generator every solver reads
+    built = build_hamiltonian(m, drive, space), build_jump_ops(m, drive, space)
+    assert _same_csr(
+        build_liouvillian(*built).Heff, build_liouvillian(H, [(A, m.gamma)]).Heff
+    )
 
 
 def test_rotating_and_lab_frames_share_populations():

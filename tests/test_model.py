@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 from mirrorqed.model import (
     GeometryError,
     ParameterError,
+    PhysicalParams,
     ResonanceError,
     build_effective_model,
-    derive_params,
     params_from_dimensionless,
     snap_block_length,
 )
 
 
 def test_derived_rates():
-    p = derive_params(omega0=100.0, v=2.0, x0=3.0, g=0.5)
+    p = PhysicalParams(omega0=100.0, v=2.0, x0=3.0, g=0.5)
     assert p.Gamma == pytest.approx(2 * 0.5**2 / 2.0)
     assert p.tau == pytest.approx(2 * 3.0 / 2.0)
     assert p.phi == pytest.approx(2 * (100.0 / 2.0) * 3.0)
@@ -32,7 +32,7 @@ def test_derived_rates():
 ])
 def test_nonpositive_inputs_rejected(bad):
     with pytest.raises(ParameterError):
-        derive_params(**bad)
+        PhysicalParams(**bad)
 
 
 @given(
