@@ -93,11 +93,8 @@ def calibrate_chain(
         raise ValueError("Gamma and tau must be positive")
     n0 = int(sites_per_delay)
     base = phi / (2.0 * n0)
-    candidates = []
-    for j in range(0, n0 + 1):
-        for k0 in (base + j * math.pi / n0,):
-            if K_WINDOW[0] <= k0 <= K_WINDOW[1]:
-                candidates.append(k0)
+    branches = (base + j * math.pi / n0 for j in range(n0 + 1))
+    candidates = [k0 for k0 in branches if K_WINDOW[0] <= k0 <= K_WINDOW[1]]
     if not candidates:
         raise CalibrationError(
             f"no admissible branch of k0 = phi/(2 n0) + j pi/n0 lies in "
@@ -218,15 +215,17 @@ def evolve_sector(
         )
     states, record = chebyshev_evolve(H, psi, h, len(t_grid) - 1)
 
-    occ = space._occ
     p = np.abs(states) ** 2
     energy = np.array([np.real(np.vdot(s, H @ s)) for s in states])
+    # the atom is factor 0 and site n is factor n
+    block_A = range(1, spec.N_A_sites + 1)
+    block_B = range(spec.N_A_sites + 1, space.n_factors)
     return EvolutionResult(
         t=t_grid,
         observables={
-            "atom_population": p @ occ[:, 0],
-            "photons_block_A": p @ occ[:, 1 : spec.N_A_sites + 1].sum(axis=1),
-            "photons_block_B": p @ occ[:, spec.N_A_sites + 1 :].sum(axis=1),
+            "atom_population": p @ space.excitations([0]),
+            "photons_block_A": p @ space.excitations(block_A),
+            "photons_block_B": p @ space.excitations(block_B),
             "norm": p.sum(axis=1),
             "energy": energy,
         },

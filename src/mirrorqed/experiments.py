@@ -1,8 +1,9 @@
 """Reproducible experiment harness: config ingestion, sweeps, backend dispatch.
 
-Each runner writes figure-ready CSVs plus a JSON sidecar with the resolved
-config, seed, version, and wall-clock runtime.  Identical config + seed gives
-byte-identical CSVs.
+Each runner computes figure-ready tables and touches no file;
+``run_experiment`` writes them as CSVs plus a JSON sidecar with the resolved
+config, seed, version, and wall-clock runtime, once the runner has returned.
+Identical config + seed gives byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -120,13 +121,6 @@ _BLOCKS = {path.split(".")[0] for path in _BY_PATH}
 _UNSET = object()
 
 
-def _write_table(path, columns: dict) -> None:
-    """columns: name -> 1d array; all columns must share a length."""
-    names = list(columns)
-    arrays = [np.asarray(columns[k]) for k in names]
-    write_csv(path, names, zip(*[a.tolist() for a in arrays]))
-
-
 @dataclass
 class ExperimentConfig:
     """One experiment's settings; a field left out takes its FIELDS default.
@@ -235,35 +229,22 @@ class ExperimentConfig:
         return out
 
 
-def _write_provenance(out: Path, config: ExperimentConfig, runtime: float, extra=None):
-    payload = {
-        "config": config.resolved(),
-        "seed": config.seed,
-        "version": __version__,
-        "runtime_seconds": runtime,
-    }
-    if extra:
-        payload.update(extra)
-    out.joinpath("provenance.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
-    )
+def _model_problem(
+    Gamma_tau, phi, ratio, N_A, n_max, cap, Omega_D=0.0, frame="rotating"
+):
+    """(Gamma, model, space, H, jumps) of the truncated model with block loss.
 
-
-def _decay_problem(Gamma_tau, phi, ratio, N_A, frame):
-    """Truncated model in its one-excitation sector, for decay from |e> vacuum.
-
-    Returns (Gamma, space, H, jumps, n_at); the single-excitation sector
-    suffices for spontaneous emission.
+    The space keeps n_max photons per mode and at most cap quanta; Omega_D is
+    the atomic drive in units of Gamma.
     """
     params = params_from_dimensionless(Gamma_tau, phi)
     L = snap_block_length(params, ratio)
     model = build_effective_model(params, L, N_A, frame=frame)
-    space = space_for_model(model, n_max=1, max_excitations=1)
-    drive = DriveDissipationSpec(gamma=model.gamma)
+    space = space_for_model(model, n_max=n_max, max_excitations=cap)
+    drive = DriveDissipationSpec(Omega_D=Omega_D * params.Gamma, gamma=model.gamma)
     H = build_hamiltonian(model, drive, space)
     jumps = build_jump_ops(model, drive, space)
-    n_at = atom_op(space, (sigma_plus() @ sigma_minus()).astype(complex))
-    return params.Gamma, space, H, jumps, n_at
+    return params.Gamma, model, space, H, jumps
 
 
 def model_decay_curve(
@@ -276,16 +257,17 @@ def model_decay_curve(
 ) -> np.ndarray:
     """Atomic population of the truncated model, starting from |e> vacuum.
 
-    t_grid is in units of 1/Gamma.  Integrates the master equation; the
+    t_grid is in units of 1/Gamma.  Integrates the master equation in the
+    one-excitation sector, which suffices for spontaneous emission; the
     runners use the equivalent ``amplitude_decay_curve``.
     """
-    Gamma, space, H, jumps, n_at = _decay_problem(Gamma_tau, phi, ratio, N_A, frame)
+    Gamma, _, space, H, jumps = _model_problem(Gamma_tau, phi, ratio, N_A, 1, 1, frame=frame)
     psi = space.vacuum(excited=True)
     res = integrate_me(
         build_liouvillian(H, jumps),
         np.outer(psi, psi.conj()),
         np.asarray(t_grid, dtype=float) / Gamma,
-        e_ops={"atom_population": n_at},
+        e_ops={"atom_population": atom_op(space, sigma_plus() @ sigma_minus())},
         keep_states=False,
     )
     return np.real(res.observables["atom_population"])
@@ -293,14 +275,14 @@ def model_decay_curve(
 
 def _amplitude_decay(Gamma_tau, phi, ratio, N_A, t_grid, frame="rotating"):
     """(population on t_grid, sector dim) from the amplitude equations."""
-    Gamma, space, H, jumps, n_at = _decay_problem(Gamma_tau, phi, ratio, N_A, frame)
+    Gamma, _, space, H, jumps = _model_problem(Gamma_tau, phi, ratio, N_A, 1, 1, frame=frame)
     h = uniform_step(np.asarray(t_grid, dtype=float) / Gamma)
     U = expm(-1j * h * effective_hamiltonian(H, jumps).toarray())
     amps = np.empty((len(t_grid), space.dim), dtype=complex)
     amps[0] = space.vacuum(excited=True)
     for k in range(1, len(t_grid)):
         amps[k] = U @ amps[k - 1]
-    return np.abs(amps) ** 2 @ n_at.diagonal().real, space.dim
+    return np.abs(amps) ** 2 @ space.excitations([0]), space.dim
 
 
 def amplitude_decay_curve(
@@ -344,16 +326,10 @@ def _dde_on_grid(config: ExperimentConfig):
     return t, np.interp(t, dde.t, dde.population), {"dde_solver": [grid]}
 
 
-def run_emission(config: ExperimentConfig, out_dir) -> list:
+def run_emission(config: ExperimentConfig) -> tuple:
     """Decay of an initially excited atom: exact delay curve plus model curves."""
-    t0 = time.time()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
     t, pop_dde, extra = _dde_on_grid(config)
-    path = out / "emission_dde.csv"
-    _write_table(path, {"t": t, "atom_population": pop_dde})
-    written.append(path)
+    tables = {"emission_dde.csv": {"t": t, "atom_population": pop_dde}}
 
     if config.backend == "chain":
         from .chain import calibrate_chain, evolve_sector
@@ -370,11 +346,9 @@ def run_emission(config: ExperimentConfig, out_dir) -> list:
             k: res.meta[k]
             for k in ("method", "dim", "steps", "terms_per_step", "spectral_interval")
         }
-        path = out / "emission_chain.csv"
-        _write_table(
-            path, {"t": t, "atom_population": res.observables["atom_population"]}
-        )
-        written.append(path)
+        tables["emission_chain.csv"] = {
+            "t": t, "atom_population": res.observables["atom_population"],
+        }
     else:
         dims = []
         for N_A in config.N_A:
@@ -382,19 +356,13 @@ def run_emission(config: ExperimentConfig, out_dir) -> list:
                 config.Gamma_tau, config.phi, config.ratio, N_A, t, config.frame
             )
             dims.append(dim)
-            path = out / f"emission_me_NA{N_A}.csv"
-            _write_table(path, {"t": t, "atom_population": pop})
-            written.append(path)
+            tables[f"emission_me_NA{N_A}.csv"] = {"t": t, "atom_population": pop}
         extra.update(_decay_solver(dims))
-    _write_provenance(out, config, time.time() - t0, extra)
-    return written
+    return tables, extra
 
 
-def run_convergence(config: ExperimentConfig, out_dir) -> list:
+def run_convergence(config: ExperimentConfig) -> tuple:
     """Max-error ladder of the truncated model against the exact decay curve."""
-    t0 = time.time()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     t, pop_dde, extra = _dde_on_grid(config)
     errors, dims = [], []
     for N_A in config.N_A:
@@ -408,28 +376,20 @@ def run_convergence(config: ExperimentConfig, out_dir) -> list:
         for i in range(len(errors) - 1)
         if errors[i + 1] > errors[i] + 1e-3
     ]
-    path = out / "convergence.csv"
-    _write_table(
-        path,
-        {"N_A": np.array(config.N_A, dtype=float), "max_error": np.array(errors)},
-    )
     extra.update(non_monotonic_at=non_monotone, **_decay_solver(dims))
-    _write_provenance(out, config, time.time() - t0, extra)
-    return [path]
+    table = {"N_A": np.array(config.N_A, dtype=float), "max_error": errors}
+    return {"convergence.csv": table}, extra
 
 
 PURCELL_PHIS = (math.pi / 2, math.pi, 3 * math.pi / 2)
 
 
-def run_purcell(config: ExperimentConfig, out_dir) -> list:
+def run_purcell(config: ExperimentConfig) -> tuple:
     """Short-delay decay rates: fitted vs 2*Gamma*sin^2(phi/2), per phi.
 
     The limit needs Gamma_tau < 0.1, which the config check enforces.  The
     model runs N_A = 0 at ratio 1 whatever the config says; provenance says so.
     """
-    t0 = time.time()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     Gamma_tau = config.Gamma_tau
     N_A, ratio = 0, 1.0
     rows, dims, grids = [], [], []
@@ -443,16 +403,13 @@ def run_purcell(config: ExperimentConfig, out_dir) -> list:
         rows.append((phi, theory, rate_dde, fit_decay_rate(tg, pop)))
         dims.append(dim)
         grids.append(grid)
-    path = out / "purcell.csv"
     names = ("phi", "rate_theory", "rate_dde", "rate_model")
-    _write_table(path, dict(zip(names, np.array(rows).T)))
     extra = {
         "purcell_run": {"phi": PURCELL_PHIS, "N_A": N_A, "ratio": ratio},
         "dde_solver": grids,
         **_decay_solver(dims),
     }
-    _write_provenance(out, config, time.time() - t0, extra)
-    return [path]
+    return {"purcell.csv": dict(zip(names, np.array(rows).T))}, extra
 
 
 def qubit_steady_state(Omega_D: float, kappa: float, kappa_phi: float):
@@ -496,32 +453,21 @@ def model_steady_state(
     max_excitations: int | None = 3,
 ):
     """(rho_ee, |rho_eg|) of the driven truncated model."""
-    params = params_from_dimensionless(Gamma_tau, phi)
-    L = snap_block_length(params, ratio)
-    model = build_effective_model(params, L, N_A, frame="rotating")
-    space = space_for_model(model, n_max=n_max, max_excitations=max_excitations)
-    drive = DriveDissipationSpec(
-        Omega_D=Omega_D_over_Gamma * params.Gamma, gamma=model.gamma
+    _, _, space, H, jumps = _model_problem(
+        Gamma_tau, phi, ratio, N_A, n_max, max_excitations, Omega_D=Omega_D_over_Gamma
     )
-    H = build_hamiltonian(model, drive, space)
-    jumps = build_jump_ops(model, drive, space)
-    rho = steady_state(H, jumps)
-    rho_q = space.ptrace_qubit(rho)
+    rho_q = space.ptrace_qubit(steady_state(H, jumps))
     return float(rho_q[1, 1].real), float(abs(rho_q[1, 0]))
 
 
-def run_steady_sweep(config: ExperimentConfig, out_dir) -> list:
+def run_steady_sweep(config: ExperimentConfig) -> tuple:
     """Driven steady states per truncation order, plus the Markovian overlay.
 
     A truncation order N_A > 1 runs at no more than two quanta: strong block
     loss keeps photon numbers low, and the wider spaces stay small.  The
     provenance's ``truncation`` list records what each N_A ran with.
     """
-    t0 = time.time()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    truncation = []
+    tables, truncation = {}, []
     for N_A in config.N_A:
         cap = config.max_excitations
         if N_A > 1:
@@ -530,45 +476,31 @@ def run_steady_sweep(config: ExperimentConfig, out_dir) -> list:
         # the qubit plus the 2 N_A + 1 retained modes
         dim = CompositeSpace(2 * N_A + 1, n, cap).dim
         truncation.append({"N_A": N_A, "n_max": n, "max_excitations": cap, "dim": dim})
-        rows = {"Omega_D": [], "rho_ee": [], "rho_eg_abs": []}
-        for OD in config.Omega_D:
-            p_ee, coh = model_steady_state(
+        rho_ee, rho_eg = zip(*(
+            model_steady_state(
                 config.Gamma_tau, config.phi, config.ratio, N_A, OD,
                 n_max=n, max_excitations=cap,
             )
-            rows["Omega_D"].append(OD)
-            rows["rho_ee"].append(p_ee)
-            rows["rho_eg_abs"].append(coh)
-        path = out / f"steady_NA{N_A}.csv"
-        _write_table(path, {k: np.array(v) for k, v in rows.items()})
-        written.append(path)
-
-    path = out / "markovian_overlay.csv"
-    _write_table(path, markovian_overlay())
-    written.append(path)
-    _write_provenance(out, config, time.time() - t0, {"truncation": truncation})
-    return written
+            for OD in config.Omega_D
+        ))
+        tables[f"steady_NA{N_A}.csv"] = {
+            "Omega_D": config.Omega_D, "rho_ee": rho_ee, "rho_eg_abs": rho_eg,
+        }
+    tables["markovian_overlay.csv"] = markovian_overlay()
+    return tables, {"truncation": truncation}
 
 
-def run_scattering(config: ExperimentConfig, out_dir) -> list:
+def run_scattering(config: ExperimentConfig) -> tuple:
     """Gaussian-pulse scattering: output intensity, G2, and a flux audit."""
-    t0 = time.time()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    params = params_from_dimensionless(config.Gamma_tau, config.phi)
     (N_A,) = config.N_A
-    L = snap_block_length(params, config.ratio)
-    model = build_effective_model(params, L, N_A, frame="rotating")
-    G = params.Gamma
+    n_max, cap = config.n_max, config.max_excitations
+    G, model, space, H, jumps = _model_problem(
+        config.Gamma_tau, config.phi, config.ratio, N_A, n_max, cap
+    )
     pl = config.pulse
     spec = PulseSpec(
         W=pl["W"] * G, t0=pl["t0"] / G, n_ph=pl["n_ph"], delta_in=pl["delta_in"] * G
     )
-    n_max, cap = config.n_max, config.max_excitations
-    space = space_for_model(model, n_max=n_max, max_excitations=cap)
-    drive_spec = DriveDissipationSpec(gamma=model.gamma)
-    H = build_hamiltonian(model, drive_spec, space)
-    jumps = build_jump_ops(model, drive_spec, space)
     coeff, Adag = build_drive_term(model, spec, space)
     psi0 = space.vacuum()
     n_pts = int(round(config.t_max / config.dt)) + 1
@@ -603,32 +535,21 @@ def run_scattering(config: ExperimentConfig, out_dir) -> list:
     # worst over trajectories of each one's peak boundary population
     audit["mean_leakage"] = float(res.meta["mean_leakage"])
     audit["max_leakage"] = max_leak
-    path = out / "scattering.csv"
-    _write_table(
-        path,
-        {
-            "t": res.t * G,
-            "i_out": np.real(res.observables["I_out"]) / G,
-            "g2": np.real(res.observables["G2"]) / G**2,
-            "i_out_stderr": np.real(res.stderr["I_out"]) / G,
-            "g2_stderr": np.real(res.stderr["G2"]) / G**2,
+    table = {
+        "t": res.t * G,
+        "i_out": np.real(res.observables["I_out"]) / G,
+        "g2": np.real(res.observables["G2"]) / G**2,
+        "i_out_stderr": np.real(res.stderr["I_out"]) / G,
+        "g2_stderr": np.real(res.stderr["G2"]) / G**2,
+    }
+    extra = {
+        "flux_balance": audit,
+        "truncation": {
+            "N_A": N_A, "n_max": n_max, "max_excitations": cap, "dim": space.dim,
         },
-    )
-    _write_provenance(
-        out,
-        config,
-        time.time() - t0,
-        extra={
-            "flux_balance": audit,
-            "truncation": {
-                "N_A": N_A, "n_max": n_max, "max_excitations": cap, "dim": space.dim,
-            },
-            "mcwf": {
-                k: v for k, v in res.meta.items() if isinstance(v, (int, float))
-            },
-        },
-    )
-    return [path]
+        "mcwf": {k: v for k, v in res.meta.items() if isinstance(v, (int, float))},
+    }
+    return {"scattering.csv": table}, extra
 
 
 RUNNERS = {
@@ -641,4 +562,28 @@ RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> list:
-    return RUNNERS[config.experiment](config, out_dir or config.out_dir)
+    """Run the config's experiment, then write its CSVs and provenance.json.
+
+    The only writer: a runner returns (tables, extra), where tables maps each
+    CSV name to its columns in write order and extra holds the runner's
+    provenance entries.  A runner that raises leaves no file behind.  Returns
+    the written CSV paths.
+    """
+    t0 = time.time()
+    tables, extra = RUNNERS[config.experiment](config)
+    out = Path(out_dir or config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = [out / name for name in tables]
+    for path, columns in zip(written, tables.values()):
+        write_csv(path, columns)
+    payload = {
+        "config": config.resolved(),
+        "seed": config.seed,
+        "version": __version__,
+        "runtime_seconds": time.time() - t0,
+        **extra,
+    }
+    out.joinpath("provenance.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
+    )
+    return written

@@ -56,7 +56,6 @@ class CompositeSpace:
             )
         # the kept occupations in lexicographic order, read off their ranks
         self._occ = self._unrank(np.arange(self.dim))
-        self.basis = tuple(map(tuple, self._occ.tolist()))
 
     @property
     def n_factors(self) -> int:
@@ -83,9 +82,10 @@ class CompositeSpace:
         occ = (1 if excited else 0,) + (0,) * self.n_modes
         return self.basis_state(occ)
 
-    def excitations(self) -> np.ndarray:
-        """Total excitation number of each basis state."""
-        return self._occ.sum(axis=1)
+    def excitations(self, factors=None) -> np.ndarray:
+        """Quanta each basis state holds on ``factors`` (indices; all by default)."""
+        occ = self._occ if factors is None else self._occ[:, factors]
+        return occ.sum(axis=1)
 
     def _rank(self, occ: np.ndarray) -> np.ndarray:
         """Basis indices of kept occupation rows ``occ`` (shape (m, n_factors))."""

@@ -159,12 +159,6 @@ class EffectiveModel:
     def n_modes(self) -> int:
         return 2 * self.N_A + 1
 
-    def mode_index(self, nu: int) -> int:
-        """Position of mode nu in the ascending-nu storage order."""
-        if abs(nu) > self.N_A:
-            raise IndexError(f"mode nu={nu} not retained (N_A={self.N_A})")
-        return nu + self.N_A
-
     def detunings(self) -> tuple:
         """Omega_nu - omega0 (mode frequencies in the rotating frame)."""
         return tuple(om - self.params.omega0 for om in self.Omega)

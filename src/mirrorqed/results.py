@@ -18,11 +18,14 @@ class EvolutionResult:
     states: list | None = None  # density matrices or kets, when retained
 
 
-def write_csv(path, header: list, rows) -> None:
-    """Plain deterministic CSV: floats via repr (shortest round-trip form)."""
+def write_csv(path, columns: dict) -> None:
+    """Plain deterministic CSV of named 1-d columns of one length.
+
+    Numbers are written as floats via repr (shortest round-trip form).
+    """
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*(np.asarray(c).tolist() for c in columns.values())):
             fh.write(
                 ",".join(repr(float(x)) if isinstance(x, (int, float, np.floating)) and not isinstance(x, bool) else str(x) for x in row)
                 + "\n"

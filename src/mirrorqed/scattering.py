@@ -50,8 +50,8 @@ def gaussian_envelope(spec: PulseSpec, t):
     return out if out.ndim else complex(out)
 
 
-def build_drive_term(model: EffectiveModel, spec: PulseSpec, space: CompositeSpace | None = None):
-    """Drive coefficient and (optionally) the collective raising operator.
+def build_drive_term(model: EffectiveModel, spec: PulseSpec, space: CompositeSpace):
+    """Drive coefficient and the collective raising operator.
 
     Returns (coeff_fn, op) suitable for the td_terms of the integrators:
     H(t) += coeff(t) * op + h.c., with op = sum_nu a_nu^dagger.  The minus
@@ -64,8 +64,6 @@ def build_drive_term(model: EffectiveModel, spec: PulseSpec, space: CompositeSpa
     def coeff(t: float) -> complex:
         return -root_gamma * gaussian_envelope(spec, t)
 
-    if space is None:
-        return coeff, None
     return coeff, collective_mode_op(space).conj().T.tocsr()
 
 

@@ -142,7 +142,7 @@ def test_single_excitation_hamiltonian_is_the_site_matrix():
     ref[1, 1 + spec.n0] = ref[1 + spec.n0, 1] = spec.g_disc
     labels = [(0,) + (0,) * N, (1,) + (0,) * N]
     labels += [(0,) + tuple(np.eye(N, dtype=int)[n]) for n in range(N)]
-    order = [space.basis.index(occ) for occ in labels]
+    order = [np.flatnonzero(space.basis_state(occ))[0] for occ in labels]
     assert space.dim == N + 2
     assert np.array_equal(H.toarray()[np.ix_(order, order)], ref)
 

@@ -291,6 +291,26 @@ def test_run_emission_outputs(tmp_path):
     assert header.startswith("t,")
 
 
+def test_failed_run_writes_nothing(tmp_path, monkeypatch):
+    # the second rung of the ladder fails after the delay curve is computed
+    rungs = []
+    amplitude_decay = experiments._amplitude_decay
+
+    def fail_on_second_rung(*args, **kwargs):
+        rungs.append(args)
+        if len(rungs) == 2:
+            raise ArithmeticError("second rung fails")
+        return amplitude_decay(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_amplitude_decay", fail_on_second_rung)
+    out = tmp_path / "run"
+    with pytest.raises(ArithmeticError):
+        run_experiment(ExperimentConfig("emission", N_A=[1, 3], out_dir=str(out)))
+    assert len(rungs) == 2
+    assert not (out / "emission_dde.csv").exists()
+    assert not (out / "provenance.json").exists()
+
+
 def test_run_emission_chain_backend(tmp_path):
     c, written = _run(
         tmp_path, experiment="emission", backend="chain", Gamma_tau=2.0,

@@ -21,6 +21,22 @@ from mirrorqed.hilbert import (
 )
 
 
+def _kept(space):
+    """Reference basis: the factor product in lexicographic order, cut at the cap."""
+    cap = space.max_excitations
+    return [
+        occ
+        for occ in itertools.product(*(range(d) for d in space.factor_dims))
+        if cap is None or sum(occ) <= cap
+    ]
+
+
+def _index(space, occ) -> int:
+    """Basis index of the occupation tuple ``occ``."""
+    (i,) = np.flatnonzero(space.basis_state(occ))
+    return int(i)
+
+
 def test_uncapped_dimension_is_full_product():
     sp = CompositeSpace(n_modes=3, n_max=2)
     assert sp.dim == 2 * 3**3
@@ -41,7 +57,16 @@ def test_capped_basis_equals_filtered_product(n_modes, n_max, cap):
         for occ in itertools.product(*(range(d) for d in dims))
         if sum(occ) <= cap
     ]
-    assert list(sp.basis) == expected
+    assert sp.dim == len(expected)
+    # the kept occupations rank as 0, 1, 2, ... in lexicographic order
+    assert [_index(sp, occ) for occ in expected] == list(range(sp.dim))
+    # and each basis state's occupations read back, factor by factor
+    table = np.array(expected, dtype=int).reshape(sp.dim, sp.n_factors)
+    for k in range(sp.n_factors):
+        assert np.array_equal(sp.excitations([k]), table[:, k])
+    assert np.array_equal(sp.excitations(), table.sum(axis=1))
+    modes = range(1, sp.n_factors)
+    assert np.array_equal(sp.excitations(modes), table[:, 1:].sum(axis=1))
 
 
 def test_capped_space_scales_to_many_modes():
@@ -77,8 +102,8 @@ def test_embed_on_capped_space_is_projected_kron():
     sp_full = CompositeSpace(n_modes=2, n_max=2)
     sp_cap = CompositeSpace(n_modes=2, n_max=2, max_excitations=2)
     P = np.zeros((sp_cap.dim, sp_full.dim))
-    for i, occ in enumerate(sp_cap.basis):
-        P[i, sp_full.basis.index(occ)] = 1.0
+    for i, occ in enumerate(_kept(sp_cap)):
+        P[i, _index(sp_full, occ)] = 1.0
     a = destroy(3)
     assert np.allclose(sp_cap.embed(a, 1).toarray(), P @ sp_full.embed(a, 1) @ P.T)
 
@@ -89,7 +114,7 @@ def _projected_kron(space, local, factor):
     for k, d in enumerate(space.factor_dims):
         full = np.kron(full, local if k == factor else np.eye(d))
     radix = np.cumprod((1,) + space.factor_dims[:0:-1])[::-1]
-    kept = np.array([np.dot(occ, radix) for occ in space.basis], dtype=int)
+    kept = np.array([np.dot(occ, radix) for occ in _kept(space)], dtype=int)
     return full[np.ix_(kept, kept)]
 
 
@@ -123,17 +148,12 @@ def test_embed_on_many_mode_capped_space_stays_in_range():
     assert ad.indices.max() < space.dim
     assert np.all(ad.data != 0)
     # every kept state with room below the cap gains one photon in the last mode
-    for i in (
-        0,
-        space.basis.index((1,) + (0,) * 41),
-        space.basis.index((0, 1) + (0,) * 40),
-    ):
-        occ = space.basis[i]
+    for occ in ((0,) * 42, (1,) + (0,) * 41, (0, 1) + (0,) * 40):
         target = occ[:-1] + (occ[-1] + 1,)
-        col = ad[:, i].toarray().ravel()
-        assert np.flatnonzero(col).tolist() == [space.basis.index(target)]
-        assert col[space.basis.index(target)] == pytest.approx(1.0)
-    assert ad[:, space.basis.index((1, 1) + (0,) * 40)].nnz == 0  # already at the cap
+        col = ad[:, _index(space, occ)].toarray().ravel()
+        assert np.flatnonzero(col).tolist() == [_index(space, target)]
+        assert col[_index(space, target)] == pytest.approx(1.0)
+    assert ad[:, _index(space, (1, 1) + (0,) * 40)].nnz == 0  # already at the cap
 
 
 def test_embed_rejects_wrong_local_dimension():
@@ -145,9 +165,9 @@ def test_embed_rejects_wrong_local_dimension():
 def test_vacuum_and_basis_state():
     sp = CompositeSpace(n_modes=2, n_max=1, max_excitations=1)
     v = sp.vacuum()
-    assert v[sp.basis.index((0, 0, 0))] == 1.0
+    assert np.flatnonzero(v).tolist() == [_kept(sp).index((0, 0, 0))]
     e = sp.vacuum(excited=True)
-    assert e[sp.basis.index((1, 0, 0))] == 1.0
+    assert np.flatnonzero(e).tolist() == [_kept(sp).index((1, 0, 0))]
     assert np.vdot(v, e) == 0.0
 
 
@@ -155,7 +175,7 @@ def test_boundary_projector_flags_cap_and_top_fock():
     sp = CompositeSpace(n_modes=2, n_max=2, max_excitations=2)
     diag = sp.boundary_projector()
     assert diag.shape == (sp.dim,)
-    for i, occ in enumerate(sp.basis):
+    for i, occ in enumerate(_kept(sp)):
         expect = 1.0 if (max(occ[1:]) >= 2 or sum(occ) >= 2) else 0.0
         assert diag[i] == expect
 
@@ -181,8 +201,9 @@ def test_ptrace_qubit_on_capped_space_matches_loop():
     m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     rho = m @ m.conj().T
     ref = np.zeros((2, 2), dtype=complex)
-    for i, occ in enumerate(space.basis):
-        for j, other in enumerate(space.basis):
+    kept = _kept(space)
+    for i, occ in enumerate(kept):
+        for j, other in enumerate(kept):
             if occ[1:] == other[1:]:
                 ref[occ[0], other[0]] += rho[i, j]
     assert np.allclose(space.ptrace_qubit(rho), ref, rtol=1e-13, atol=0)
@@ -226,9 +247,9 @@ def test_one_body_drops_hops_into_a_full_mode():
     # n_max = 1 and no cap: |0, 1, 1> has nowhere to hop
     space = CompositeSpace(n_modes=2, n_max=1)
     hop = space.one_body(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert hop[:, space.basis.index((0, 1, 1))].nnz == 0
-    col = hop[:, space.basis.index((0, 1, 0))].toarray().ravel()
-    assert np.flatnonzero(col).tolist() == [space.basis.index((0, 0, 1))]
+    assert hop[:, _index(space, (0, 1, 1))].nnz == 0
+    col = hop[:, _index(space, (0, 1, 0))].toarray().ravel()
+    assert np.flatnonzero(col).tolist() == [_index(space, (0, 0, 1))]
 
 
 def test_one_body_rejects_wrong_shape():

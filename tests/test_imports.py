@@ -1,4 +1,4 @@
-"""Every package module uses each name it imports."""
+"""Every package module uses each name it imports, and no other object's privates."""
 
 import ast
 from pathlib import Path
@@ -31,3 +31,35 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_reads(source: str) -> list:
+    """Each ``x._name`` attribute access in ``source`` where x is not self or cls.
+
+    Dunder names (``object.__setattr__``) are protocol, not private.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+            continue
+        if node.attr.startswith("__") and node.attr.endswith("__"):
+            continue
+        if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
+            continue
+        found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_scan_flags_a_private_read():
+    src = (
+        "class A:\n"
+        "    def f(self, other):\n"
+        "        object.__setattr__(self, 'x', self._x)\n"
+        "        return other._y + other.y\n"
+    )
+    assert private_reads(src) == ["line 4: other._y"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_reads_no_other_objects_privates(path):
+    assert private_reads(path.read_text()) == []

@@ -84,7 +84,7 @@ def test_mode_ladder_structure():
     m = build_effective_model(p, L, N_A=3)
     assert m.nu == (-3, -2, -1, 0, 1, 2, 3)
     # resonant mode sits exactly at the atom frequency
-    assert m.Omega[m.mode_index(0)] == pytest.approx(p.omega0)
+    assert m.Omega[m.nu.index(0)] == pytest.approx(p.omega0)
     spac = np.diff(m.Omega)
     assert np.allclose(spac, p.v * math.pi / L, rtol=1e-12)
     assert m.gamma == pytest.approx(2 * p.v / L)
@@ -105,7 +105,7 @@ def test_detunings_are_frame_independent_offsets():
     L = snap_block_length(p, 2.0)
     m = build_effective_model(p, L, N_A=2)
     det = m.detunings()
-    assert det[m.mode_index(0)] == pytest.approx(0.0, abs=1e-9)
+    assert det[m.nu.index(0)] == pytest.approx(0.0, abs=1e-9)
     assert np.allclose(det, [nu * math.pi * p.v / L for nu in m.nu], atol=1e-9)
 
 
