@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import jv
 
-from .hilbert import CompositeSpace, destroy, number_op, sigma_plus
+from .hilbert import CompositeSpace
 from .mcwf import uniform_step
 from .results import EvolutionResult
 
@@ -84,7 +84,9 @@ def calibrate_chain(
 
     k0 candidates are phi/(2 n0) plus integer multiples of pi/n0 (each adds a
     full 2*pi to the round-trip phase); the branch closest to the band center
-    is kept, where the dispersion is most linear.  t_max (in units of 1/Gamma,
+    is kept, where the dispersion is most linear.  The band center omega_c
+    is set so that the atom frequency omega0 is exactly 0.0, the energy the
+    sector Hamiltonian gives the excited atom.  t_max (in units of 1/Gamma,
     default 6) sizes N against boundary wrap-around.
     """
     if sites_per_delay < 2:
@@ -128,20 +130,16 @@ def sector_hamiltonian(spec: ChainSpec, max_excitations: int):
 
     Returns (H, space).  The sector is CompositeSpace(N, m, m) with m =
     max_excitations: the atom is the qubit and site n is mode n - 1.
-    H = omega0 n_atom + dGamma(h_site) + g_disc (sigma+ a_n0 + h.c.), with
-    energies measured from the atom frequency (omega0 = 0 by calibration), so
-    matrix norms stay moderate.
+    H = dGamma(h_site) + g_disc (sigma+ a_n0 + h.c.), the model's
+    ``emitter_hamiltonian`` with a coupling on site n0 alone; energies are
+    measured from the atom frequency, which ``calibrate_chain`` puts at 0.0
+    exactly, so matrix norms stay moderate.
     """
     m = max_excitations
     space = CompositeSpace(spec.N, m, m)
-    a_n0 = space.embed(destroy(m + 1), space.mode_factor(spec.n0 - 1))
-    absorb = space.embed(sigma_plus(), 0) @ a_n0
-    H = (
-        spec.omega0 * space.embed(number_op(2), 0)
-        + space.one_body(_site_hamiltonian(spec))
-        + spec.g_disc * (absorb + absorb.conj().T)
-    )
-    return H.tocsr(), space
+    g = np.zeros(spec.N)
+    g[spec.n0 - 1] = spec.g_disc
+    return space.emitter_hamiltonian(_site_hamiltonian(spec), g), space
 
 
 def chebyshev_evolve(H, psi: np.ndarray, h: float, steps: int):

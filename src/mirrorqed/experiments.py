@@ -21,7 +21,7 @@ from scipy.linalg import expm
 
 from . import __version__
 from .dde import fit_decay_rate, markovian_rate, solve_delay_ode
-from .hilbert import CompositeSpace, sigma_minus, sigma_plus
+from .hilbert import sigma_minus, sigma_plus
 from .lindblad import (
     DriveDissipationSpec,
     atom_op,
@@ -100,7 +100,6 @@ FIELDS = {
     "max_excitations": (
         "model.max_excitations", _cap, 1, {"steady_sweep": 3, "scattering": 5},
     ),
-    "frame": ("model.frame", str, "rotating", {}),
     "Omega_D": (
         "drive.Omega_D", _floats, [],
         {"steady_sweep": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]},
@@ -136,7 +135,6 @@ class ExperimentConfig:
     N_A: list = _UNSET
     n_max: int = _UNSET
     max_excitations: int | None = _UNSET
-    frame: str = _UNSET
     Omega_D: list = _UNSET
     pulse: dict = _UNSET
     backend: str = _UNSET
@@ -176,11 +174,9 @@ class ExperimentConfig:
             (self.substeps >= 1, "substeps", "must be >= 1"),
             (self.sites_per_delay >= 2, "sites_per_delay", "must be >= 2"),
             (all(n >= 0 for n in self.N_A), "N_A", "entries must be non-negative"),
+            (len(set(self.N_A)) == len(self.N_A), "N_A", "entries must be distinct"),
             (exp != "scattering" or len(self.N_A) == 1, "N_A",
              "scattering runs one truncation order"),
-            (self.frame in ("rotating", "lab"), "frame", "must be 'rotating' or 'lab'"),
-            (exp not in ("scattering", "steady_sweep") or self.frame == "rotating",
-             "frame", f"{exp} runs in the rotating frame"),
             (exp != "steady_sweep" or self.Omega_D, "Omega_D",
              "steady_sweep needs at least one drive amplitude"),
         ]
@@ -229,39 +225,32 @@ class ExperimentConfig:
         return out
 
 
-def _model_problem(
-    Gamma_tau, phi, ratio, N_A, n_max, cap, Omega_D=0.0, frame="rotating"
-):
-    """(Gamma, model, space, H, jumps) of the truncated model with block loss.
+def _model_problem(Gamma_tau, phi, ratio, N_A, n_max, cap):
+    """(Gamma, model, space, jumps) of the truncated model with block loss.
 
-    The space keeps n_max photons per mode and at most cap quanta; Omega_D is
-    the atomic drive in units of Gamma.
+    The space keeps n_max photons per mode and at most cap quanta.  H is left
+    to the caller, as only H depends on the drive.
     """
     params = params_from_dimensionless(Gamma_tau, phi)
     L = snap_block_length(params, ratio)
-    model = build_effective_model(params, L, N_A, frame=frame)
+    model = build_effective_model(params, L, N_A)
     space = space_for_model(model, n_max=n_max, max_excitations=cap)
-    drive = DriveDissipationSpec(Omega_D=Omega_D * params.Gamma, gamma=model.gamma)
-    H = build_hamiltonian(model, drive, space)
-    jumps = build_jump_ops(model, drive, space)
-    return params.Gamma, model, space, H, jumps
+    jumps = build_jump_ops(model, DriveDissipationSpec(gamma=model.gamma), space)
+    return params.Gamma, model, space, jumps
 
 
 def model_decay_curve(
-    Gamma_tau: float,
-    phi: float,
-    ratio: float,
-    N_A: int,
-    t_grid: np.ndarray,
-    frame: str = "rotating",
+    Gamma_tau: float, phi: float, ratio: float, N_A: int, t_grid: np.ndarray
 ) -> np.ndarray:
     """Atomic population of the truncated model, starting from |e> vacuum.
 
     t_grid is in units of 1/Gamma.  Integrates the master equation in the
     one-excitation sector, which suffices for spontaneous emission; the
-    runners use the equivalent ``amplitude_decay_curve``.
+    runners and the acceptance criteria use the equivalent
+    ``amplitude_decay_curve``, and this route serves as its cross-check.
     """
-    Gamma, _, space, H, jumps = _model_problem(Gamma_tau, phi, ratio, N_A, 1, 1, frame=frame)
+    Gamma, model, space, jumps = _model_problem(Gamma_tau, phi, ratio, N_A, 1, 1)
+    H = build_hamiltonian(model, DriveDissipationSpec(), space)
     psi = space.vacuum(excited=True)
     res = integrate_me(
         build_liouvillian(H, jumps),
@@ -273,9 +262,10 @@ def model_decay_curve(
     return np.real(res.observables["atom_population"])
 
 
-def _amplitude_decay(Gamma_tau, phi, ratio, N_A, t_grid, frame="rotating"):
+def _amplitude_decay(Gamma_tau, phi, ratio, N_A, t_grid):
     """(population on t_grid, sector dim) from the amplitude equations."""
-    Gamma, _, space, H, jumps = _model_problem(Gamma_tau, phi, ratio, N_A, 1, 1, frame=frame)
+    Gamma, model, space, jumps = _model_problem(Gamma_tau, phi, ratio, N_A, 1, 1)
+    H = build_hamiltonian(model, DriveDissipationSpec(), space)
     h = uniform_step(np.asarray(t_grid, dtype=float) / Gamma)
     U = expm(-1j * h * effective_hamiltonian(H, jumps).toarray())
     amps = np.empty((len(t_grid), space.dim), dtype=complex)
@@ -286,21 +276,17 @@ def _amplitude_decay(Gamma_tau, phi, ratio, N_A, t_grid, frame="rotating"):
 
 
 def amplitude_decay_curve(
-    Gamma_tau: float,
-    phi: float,
-    ratio: float,
-    N_A: int,
-    t_grid: np.ndarray,
-    frame: str = "rotating",
+    Gamma_tau: float, phi: float, ratio: float, N_A: int, t_grid: np.ndarray
 ) -> np.ndarray:
-    """``model_decay_curve`` from the single-excitation amplitude equations.
+    """Atomic population of the truncated model from |e> vacuum, by amplitudes.
 
-    The block loss maps the one-excitation sector to |g, vac>, which H leaves
-    alone and which carries no atomic population, so the population is
-    exactly that of the no-jump state exp(-i Heff t)|e, vac>.  One dense
-    propagator for the grid step advances it; t_grid must be uniform.
+    t_grid is in units of 1/Gamma.  The block loss maps the one-excitation
+    sector to |g, vac>, which H leaves alone and which carries no atomic
+    population, so the population is exactly that of the no-jump state
+    exp(-i Heff t)|e, vac>.  One dense propagator for the grid step advances
+    it; t_grid must be uniform.
     """
-    return _amplitude_decay(Gamma_tau, phi, ratio, N_A, t_grid, frame)[0]
+    return _amplitude_decay(Gamma_tau, phi, ratio, N_A, t_grid)[0]
 
 
 def _decay_solver(dims) -> dict:
@@ -352,9 +338,7 @@ def run_emission(config: ExperimentConfig) -> tuple:
     else:
         dims = []
         for N_A in config.N_A:
-            pop, dim = _amplitude_decay(
-                config.Gamma_tau, config.phi, config.ratio, N_A, t, config.frame
-            )
+            pop, dim = _amplitude_decay(config.Gamma_tau, config.phi, config.ratio, N_A, t)
             dims.append(dim)
             tables[f"emission_me_NA{N_A}.csv"] = {"t": t, "atom_population": pop}
         extra.update(_decay_solver(dims))
@@ -366,9 +350,7 @@ def run_convergence(config: ExperimentConfig) -> tuple:
     t, pop_dde, extra = _dde_on_grid(config)
     errors, dims = [], []
     for N_A in config.N_A:
-        pop, dim = _amplitude_decay(
-            config.Gamma_tau, config.phi, config.ratio, N_A, t, config.frame
-        )
+        pop, dim = _amplitude_decay(config.Gamma_tau, config.phi, config.ratio, N_A, t)
         errors.append(float(np.max(np.abs(pop - pop_dde))))
         dims.append(dim)
     non_monotone = [
@@ -430,17 +412,10 @@ def markovian_overlay(n: int = 20) -> dict:
     Samples the attainable (|rho_eg|, rho_ee) region; its boundary is the
     overlay curve.  Decay is kept strictly positive so every point is unique.
     """
-    rows = {"Omega_D": [], "kappa": [], "kappa_phi": [], "rho_ee": [], "rho_eg_abs": []}
-    for OD in np.linspace(0.0, 6.0, n):
-        for ka in np.linspace(0.05, 4.0, n):
-            for kp in np.linspace(0.0, 4.0, n):
-                p_ee, coh = qubit_steady_state(OD, ka, kp)
-                rows["Omega_D"].append(OD)
-                rows["kappa"].append(ka)
-                rows["kappa_phi"].append(kp)
-                rows["rho_ee"].append(p_ee)
-                rows["rho_eg_abs"].append(coh)
-    return {k: np.array(v) for k, v in rows.items()}
+    axes = np.linspace(0.0, 6.0, n), np.linspace(0.05, 4.0, n), np.linspace(0.0, 4.0, n)
+    OD, ka, kp = (x.ravel() for x in np.meshgrid(*axes, indexing="ij"))
+    rho_ee, rho_eg = qubit_steady_state(OD, ka, kp)
+    return dict(Omega_D=OD, kappa=ka, kappa_phi=kp, rho_ee=rho_ee, rho_eg_abs=rho_eg)
 
 
 def model_steady_state(
@@ -453,9 +428,14 @@ def model_steady_state(
     max_excitations: int | None = 3,
 ):
     """(rho_ee, |rho_eg|) of the driven truncated model."""
-    _, _, space, H, jumps = _model_problem(
-        Gamma_tau, phi, ratio, N_A, n_max, max_excitations, Omega_D=Omega_D_over_Gamma
-    )
+    problem = _model_problem(Gamma_tau, phi, ratio, N_A, n_max, max_excitations)
+    return _driven_qubit(problem, Omega_D_over_Gamma)
+
+
+def _driven_qubit(problem, Omega_D):
+    """(rho_ee, |rho_eg|) of a ``_model_problem`` driven at Omega_D (units of Gamma)."""
+    Gamma, model, space, jumps = problem
+    H = build_hamiltonian(model, DriveDissipationSpec(Omega_D=Omega_D * Gamma), space)
     rho_q = space.ptrace_qubit(steady_state(H, jumps))
     return float(rho_q[1, 1].real), float(abs(rho_q[1, 0]))
 
@@ -473,16 +453,10 @@ def run_steady_sweep(config: ExperimentConfig) -> tuple:
         if N_A > 1:
             cap = min(cap or 2, 2)
         n = config.n_max if cap is None else min(config.n_max, cap)
-        # the qubit plus the 2 N_A + 1 retained modes
-        dim = CompositeSpace(2 * N_A + 1, n, cap).dim
+        problem = _model_problem(config.Gamma_tau, config.phi, config.ratio, N_A, n, cap)
+        dim = problem[2].dim  # of the space the steady states are solved in
         truncation.append({"N_A": N_A, "n_max": n, "max_excitations": cap, "dim": dim})
-        rho_ee, rho_eg = zip(*(
-            model_steady_state(
-                config.Gamma_tau, config.phi, config.ratio, N_A, OD,
-                n_max=n, max_excitations=cap,
-            )
-            for OD in config.Omega_D
-        ))
+        rho_ee, rho_eg = zip(*(_driven_qubit(problem, OD) for OD in config.Omega_D))
         tables[f"steady_NA{N_A}.csv"] = {
             "Omega_D": config.Omega_D, "rho_ee": rho_ee, "rho_eg_abs": rho_eg,
         }
@@ -494,9 +468,10 @@ def run_scattering(config: ExperimentConfig) -> tuple:
     """Gaussian-pulse scattering: output intensity, G2, and a flux audit."""
     (N_A,) = config.N_A
     n_max, cap = config.n_max, config.max_excitations
-    G, model, space, H, jumps = _model_problem(
+    G, model, space, jumps = _model_problem(
         config.Gamma_tau, config.phi, config.ratio, N_A, n_max, cap
     )
+    H = build_hamiltonian(model, DriveDissipationSpec(), space)
     pl = config.pulse
     spec = PulseSpec(
         W=pl["W"] * G, t0=pl["t0"] / G, n_ph=pl["n_ph"], delta_in=pl["delta_in"] * G

@@ -203,29 +203,35 @@ class CompositeSpace:
     def lowering(self, weights) -> sp.csr_matrix:
         """Lift sum_nu weights[nu] a_nu over the modes (one weight per mode).
 
-        Equal to sum_nu weights[nu] embed(destroy, mode_factor(nu)): a lowering
-        never leaves the kept space, so each occupied mode of each state gives
-        one entry, sqrt(n) weights[nu] into the state with one quantum fewer.
+        Equal to sum_nu weights[nu] a_nu with the truncated annihilators: a
+        lowering never leaves the kept space, so each occupied mode of nonzero
+        weight gives one entry per state, sqrt(n) weights[nu] into the state
+        with one quantum fewer.
         """
         weights = np.asarray(weights)
         if weights.shape != (self.n_modes,):
             raise DimensionMismatchError(
                 f"{self.n_modes} modes, {weights.shape} lowering weights"
             )
-        n = self._occ[:, 1:]
+        (live,) = np.nonzero(weights)
+        n = self._occ[:, 1 + live]
         s, j = np.nonzero(n)
         target = self._occ[s]
-        target[np.arange(len(s)), 1 + j] -= 1
-        amp = weights[j] * np.sqrt(n[s, j])
+        target[np.arange(len(s)), 1 + live[j]] -= 1
+        amp = weights[live[j]] * np.sqrt(n[s, j])
         return sp.csr_matrix(
             (amp, (self._rank(target), s)), shape=(self.dim, self.dim), dtype=complex
         )
 
-    def mode_factor(self, mode: int) -> int:
-        """Factor index of the mode at storage position ``mode`` (0-based)."""
-        if not 0 <= mode < self.n_modes:
-            raise IndexError(f"mode index {mode} out of range")
-        return 1 + mode
+    def emitter_hamiltonian(self, h, g) -> sp.csr_matrix:
+        """one_body(h) + G+ sigma- + h.c. with G = lowering(g).
+
+        The emitter is the qubit, at zero energy: the frame rotates at its
+        frequency.  Model and chain both take their Hamiltonian from here.
+        """
+        couple = self.lowering(g).conj().T @ self.embed(sigma_minus(), 0)
+        couple.sort_indices()  # canonical, so that the sums below stay canonical
+        return self.one_body(h) + couple + couple.conj().T
 
     def boundary_projector(self) -> np.ndarray:
         """Diagonal of the projector onto truncation-boundary states.
@@ -297,11 +303,6 @@ def as_csr(op) -> sp.csr_matrix:
     return sp.csr_matrix(np.asarray(op, dtype=complex))
 
 
-def destroy(dim: int) -> np.ndarray:
-    """Truncated annihilation operator; [a, a+] = 1 except in the top level."""
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
-
-
 def sigma_minus() -> np.ndarray:
     return np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -313,6 +314,3 @@ def sigma_plus() -> np.ndarray:
 def sigma_x() -> np.ndarray:
     return np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
-
-def number_op(dim: int) -> np.ndarray:
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)

@@ -17,7 +17,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import get_lapack_funcs, schur
 from scipy.sparse.linalg import LinearOperator, eigs
 
-from .hilbert import CompositeSpace, as_csr, sigma_minus, sigma_x
+from .hilbert import CompositeSpace, as_csr, sigma_x
 from .mcwf import effective_hamiltonian
 from .model import EffectiveModel, ParameterError
 from .results import EvolutionResult
@@ -83,23 +83,16 @@ def total_excitation_op(space: CompositeSpace) -> sp.csr_matrix:
 def build_hamiltonian(
     model: EffectiveModel, drive: DriveDissipationSpec, space: CompositeSpace
 ) -> sp.csr_matrix:
-    """System Hamiltonian: atom + retained modes + couplings + drive.
+    """System Hamiltonian: the emitter Hamiltonian plus the drive.
 
-    In the rotating frame the atom term vanishes and mode nu carries the
-    detuning nu*pi*v/L; the lab frame keeps the absolute frequencies.  The
-    couplings are G+ sigma- + h.c. with G = sum_nu g_nu a_nu.
+    In the frame rotating at the atom frequency mode nu carries the detuning
+    nu*pi*v/L, and the couplings are G+ sigma- + h.c. with G = sum_nu g_nu a_nu.
     """
     if space.n_modes != model.n_modes:
         raise ParameterError(
             f"space has {space.n_modes} modes, model retains {model.n_modes}"
         )
-    freqs = model.Omega if model.frame == "lab" else model.detunings()
-    H = space.one_body(np.diag(freqs))
-    if model.frame == "lab":
-        H = model.params.omega0 * atom_op(space, np.diag([0.0, 1.0])) + H
-    couple = space.lowering(model.g_nu).conj().T @ atom_op(space, sigma_minus())
-    couple.sort_indices()  # canonical, so that the sums below stay canonical
-    H = H + couple + couple.conj().T
+    H = space.emitter_hamiltonian(np.diag(model.detunings()), model.g_nu)
     if drive.Omega_D != 0.0:
         H += 0.5 * drive.Omega_D * atom_op(space, sigma_x())
     return H

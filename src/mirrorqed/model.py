@@ -65,28 +65,22 @@ class PhysicalParams:
         return math.pi * self.v / self.omega0
 
 
-def params_from_dimensionless(
-    Gamma_tau: float,
-    phi: float,
-    *,
-    Gamma: float = 1.0,
-    v: float = 1.0,
-    min_half_waves: int = 500,
-) -> PhysicalParams:
-    """Build params realizing a target (Gamma*tau, phi) pair.
+def params_from_dimensionless(Gamma_tau: float, phi: float) -> PhysicalParams:
+    """Build params realizing a target (Gamma*tau, phi) pair, in units Gamma = v = 1.
 
     phi is fixed only modulo 2*pi by the figures' conventions, so omega0 is
     chosen with an even number of extra 2*pi windings, making the atomic
-    half-wavelength at most ~x0/min_half_waves.  A fine half-wavelength lets
-    block lengths snap close to any requested ratio.
+    half-wavelength at most ~x0/500.  A fine half-wavelength lets block
+    lengths snap close to any requested ratio.
     """
-    if Gamma_tau <= 0 or Gamma <= 0 or v <= 0:
-        raise ParameterError("Gamma_tau, Gamma and v must be positive")
+    if Gamma_tau <= 0:
+        raise ParameterError("Gamma_tau must be positive")
+    Gamma, v = 1.0, 1.0
     tau = Gamma_tau / Gamma
     x0 = v * tau / 2.0
-    g = math.sqrt(Gamma * v / 2.0)
-    # phi_raw = omega0 * tau; add even windings so that k0*x0 >= pi*min_half_waves
-    m = max(2, 2 * math.ceil((math.pi * min_half_waves - phi / 2.0) / (2.0 * math.pi)))
+    g = math.sqrt(Gamma * v / 2.0)  # params.Gamma = 2 g^2 / v is 1.0000000000000002
+    # phi_raw = omega0 * tau; add even windings so that k0*x0 >= 500 pi
+    m = max(2, 2 * math.ceil((math.pi * 500 - phi / 2.0) / (2.0 * math.pi)))
     if m % 2:
         m += 1
     omega0 = (phi + 2.0 * math.pi * m) / tau
@@ -120,7 +114,6 @@ class EffectiveModel:
     params: PhysicalParams
     L: float
     N_A: int
-    frame: str = "rotating"  # "rotating" (at omega0) or "lab"
     nu: tuple = field(init=False)
     Omega: tuple = field(init=False)
     g_nu: tuple = field(init=False)
@@ -137,8 +130,6 @@ class EffectiveModel:
             )
         if self.N_A < 0 or int(self.N_A) != self.N_A:
             raise ParameterError(f"N_A must be a non-negative integer, got {self.N_A}")
-        if self.frame not in ("rotating", "lab"):
-            raise ParameterError(f"unknown frame {self.frame!r}")
         nus = tuple(range(-self.N_A, self.N_A + 1))
         omegas = tuple(p.omega0 + p.v * nu * math.pi / self.L for nu in nus)
         gs = tuple(
@@ -164,7 +155,5 @@ class EffectiveModel:
         return tuple(om - self.params.omega0 for om in self.Omega)
 
 
-def build_effective_model(
-    params: PhysicalParams, L: float, N_A: int, frame: str = "rotating"
-) -> EffectiveModel:
-    return EffectiveModel(params=params, L=L, N_A=N_A, frame=frame)
+def build_effective_model(params: PhysicalParams, L: float, N_A: int) -> EffectiveModel:
+    return EffectiveModel(params=params, L=L, N_A=N_A)

@@ -57,8 +57,6 @@ def build_drive_term(model: EffectiveModel, spec: PulseSpec, space: CompositeSpa
     H(t) += coeff(t) * op + h.c., with op = sum_nu a_nu^dagger.  The minus
     sign pairs the drive with the output convention of output_observables.
     """
-    if model.frame != "rotating":
-        raise ParameterError("pulse drives are defined in the rotating frame")
     root_gamma = math.sqrt(model.gamma)
 
     def coeff(t: float) -> complex:

@@ -18,8 +18,8 @@ from mirrorqed.chain import block_transform, calibrate_chain, continuum_coupling
 from mirrorqed.dde import analytic_series, fit_decay_rate, markovian_rate, purcell_rate, solve_delay_ode
 from mirrorqed.experiments import (
     ExperimentConfig,
+    amplitude_decay_curve,
     markovian_overlay,
-    model_decay_curve,
     model_steady_state,
     run_experiment,
 )
@@ -59,7 +59,7 @@ def test_criterion_2_markovian_purcell_limit():
         target = markovian_rate(1.0, phi)
         s = solve_delay_ode(1.0, Gamma_tau, phi, t_max=3.0, dt=Gamma_tau / 20)
         rel_dde = abs(fit_decay_rate(s.t, s.population) - target) / target
-        pop = model_decay_curve(Gamma_tau, phi, ratio=1.0, N_A=0, t_grid=t)
+        pop = amplitude_decay_curve(Gamma_tau, phi, ratio=1.0, N_A=0, t_grid=t)
         rel_model = abs(fit_decay_rate(t, pop) - target) / target
         params = params_from_dimensionless(Gamma_tau, phi)
         model = build_effective_model(params, snap_block_length(params, 1.0), 0)
@@ -81,7 +81,7 @@ def test_criterion_2_markovian_purcell_limit():
 @functools.lru_cache(maxsize=None)
 def _feedback_decay_errors(N_A: int) -> float:
     t = np.arange(0.0, 6.0 + 1e-12, 0.05)
-    pop = model_decay_curve(2.0, math.pi / 2, ratio=2.0, N_A=N_A, t_grid=t)
+    pop = amplitude_decay_curve(2.0, math.pi / 2, ratio=2.0, N_A=N_A, t_grid=t)
     ref = np.abs(analytic_series(1.0, 2.0, math.pi / 2, t)) ** 2
     return float(np.max(np.abs(pop - ref)))
 
@@ -103,7 +103,7 @@ def test_criterion_4_bound_state_plateau():
     s = solve_delay_ode(1.0, 2.0, 2 * math.pi, t_max=60.0, dt=2.0 / 500)
     plat_dde = s.plateau(tol=1e-6)
     t = np.arange(0.0, 30.0 + 1e-12, 0.05)
-    pop = model_decay_curve(2.0, 2 * math.pi, ratio=2.0, N_A=7, t_grid=t)
+    pop = amplitude_decay_curve(2.0, 2 * math.pi, ratio=2.0, N_A=7, t_grid=t)
     plat_model = float(np.mean(pop[t >= 28.0]))
     ok = (
         plat_dde is not None

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 from mirrorqed.chain import (
@@ -16,6 +17,7 @@ from mirrorqed.chain import (
     sector_hamiltonian,
 )
 from mirrorqed.dde import analytic_series
+from mirrorqed.hilbert import sigma_plus
 
 EXC = {(1, ()): 1.0}  # excited atom, empty lattice
 
@@ -145,6 +147,29 @@ def test_single_excitation_hamiltonian_is_the_site_matrix():
     order = [np.flatnonzero(space.basis_state(occ))[0] for occ in labels]
     assert space.dim == N + 2
     assert np.array_equal(H.toarray()[np.ix_(order, order)], ref)
+
+
+@pytest.mark.parametrize("max_excitations", [1, 2, 3])
+def test_sector_hamiltonian_is_bitwise_the_embed_formula(max_excitations):
+    # reference: omega0 n_atom + dGamma(h_site) + g (sigma+ a_n0 + h.c.), term by
+    # term from single-factor embeds, so the calibrated omega0 = 0 drops nothing
+    spec = calibrate_chain(Gamma=1.0, tau=1.0, phi=math.pi / 2, sites_per_delay=4,
+                           t_max=2.0)
+    H, space = sector_hamiltonian(spec, max_excitations)
+    m = max_excitations
+    hop = np.full(spec.N - 1, -spec.J)
+    h_site = sp.diags([hop, np.full(spec.N, spec.omega_c), hop], [-1, 0, 1])
+    a = np.diag(np.sqrt(np.arange(1, m + 1, dtype=float)), k=1)
+    absorb = space.embed(sigma_plus(), 0) @ space.embed(a, spec.n0)  # site n is factor n
+    ref = (
+        spec.omega0 * space.embed(np.diag([0.0, 1.0]), 0)
+        + space.one_body(h_site)
+        + spec.g_disc * (absorb + absorb.conj().T)
+    ).tocsr()
+    assert spec.omega0 == 0.0
+    assert np.array_equal(H.indptr, ref.indptr)
+    assert np.array_equal(H.indices, ref.indices)
+    assert H.data.tobytes() == ref.data.tobytes()
 
 
 def test_sector_labels_place_photons_on_sites():

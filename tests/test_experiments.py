@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mirrorqed import cli, experiments
+from mirrorqed import cli, experiments, lindblad
 from mirrorqed.chain import calibrate_chain
 from mirrorqed.experiments import (
     ConfigError,
@@ -23,7 +23,17 @@ from mirrorqed.experiments import (
     run_experiment,
 )
 from mirrorqed.hilbert import sigma_minus, sigma_plus, sigma_x
-from mirrorqed.lindblad import steady_state
+from mirrorqed.lindblad import (
+    DriveDissipationSpec,
+    atom_op,
+    build_hamiltonian,
+    build_jump_ops,
+    build_liouvillian,
+    integrate_me,
+    space_for_model,
+    steady_state,
+)
+from mirrorqed.model import build_effective_model, params_from_dimensionless, snap_block_length
 
 
 def test_config_defaults_and_rejections():
@@ -93,14 +103,14 @@ def test_config_unknown_field_rejected(raw, path):
     "raw, path",
     [
         ({"experiment": "scattering", "model": {"N_A": [2, 3]}}, "model.N_A"),
-        ({"experiment": "scattering", "model": {"frame": "lab"}}, "model.frame"),
-        ({"experiment": "steady_sweep", "model": {"frame": "lab"}}, "model.frame"),
         ({"experiment": "steady_sweep", "drive": {"Omega_D": []}}, "drive.Omega_D"),
         ({"experiment": "purcell", "physical": {"Gamma_tau": 2.0}}, "physical.Gamma_tau"),
         ({"experiment": "emission", "solver": {"backend": "dde"}}, "solver.backend"),
         ({"experiment": "scattering", "solver": {"backend": "me"}}, "solver.backend"),
         ({"experiment": "emission", "model": {"N_A": [1.5]}}, "model.N_A"),
         ({"experiment": "scattering", "model": {"n_max": 2.7}}, "model.n_max"),
+        # the same rung twice would run twice and write one file
+        ({"experiment": "emission", "model": {"N_A": [1, 1]}}, "model.N_A"),
     ],
 )
 def test_cli_rejects_a_config_the_run_cannot_follow(tmp_path, capsys, raw, path):
@@ -192,12 +202,12 @@ def test_config_bad_yaml_rejected(tmp_path):
 
 def test_model_decay_curve_limits():
     t = np.linspace(0.0, 3.0, 31)
-    pop = model_decay_curve(
-        Gamma_tau=1e-2, phi=math.pi, ratio=1.0, N_A=0, t_grid=t, frame="rotating"
-    )
+    pop = model_decay_curve(Gamma_tau=1e-2, phi=math.pi, ratio=1.0, N_A=0, t_grid=t)
     assert pop[0] == pytest.approx(1.0, abs=1e-9)
     # short delay, phi=pi: Markovian decay at 2*Gamma
     assert np.max(np.abs(pop - np.exp(-2.0 * t))) < 0.05
+    # the master-equation route and the runners' amplitude route agree
+    assert np.max(np.abs(pop - amplitude_decay_curve(1e-2, math.pi, 1.0, 0, t))) < 1e-8
 
 
 T_DECAY = np.linspace(0.0, 6.0, 121)
@@ -206,15 +216,26 @@ T_DECAY = np.linspace(0.0, 6.0, 121)
 @pytest.mark.parametrize(
     "args",
     [(2.0, math.pi / 2, 2.0, n, T_DECAY) for n in (0, 1, 7, 15)]
-    + [
-        (2.0, math.pi / 2, 2.0, 3, T_DECAY, "lab"),
-        # run_purcell's grid at phi = pi/2
-        (1e-2, math.pi / 2, 1.0, 0, np.linspace(0.0, 2.0, 201)),
-    ],
-    ids=["NA0", "NA1", "NA7", "NA15", "NA3-lab", "purcell"],
+    # run_purcell's grid at phi = pi/2
+    + [(1e-2, math.pi / 2, 1.0, 0, np.linspace(0.0, 2.0, 201))],
+    ids=["NA0", "NA1", "NA7", "NA15", "purcell"],
 )
 def test_amplitude_decay_matches_master_equation(args):
-    assert np.max(np.abs(amplitude_decay_curve(*args) - model_decay_curve(*args))) < 1e-8
+    Gamma_tau, phi, ratio, N_A, t = args
+    # the reference: the one-excitation master equation, from the public API
+    p = params_from_dimensionless(Gamma_tau, phi)
+    m = build_effective_model(p, snap_block_length(p, ratio), N_A)
+    space = space_for_model(m, n_max=1, max_excitations=1)
+    drive = DriveDissipationSpec(gamma=m.gamma)
+    L = build_liouvillian(
+        build_hamiltonian(m, drive, space), build_jump_ops(m, drive, space)
+    )
+    psi0 = space.vacuum(excited=True)
+    me = integrate_me(
+        L, np.outer(psi0, psi0.conj()), t / p.Gamma,
+        e_ops={"p": atom_op(space, sigma_plus() @ sigma_minus())}, keep_states=False,
+    )
+    assert np.max(np.abs(amplitude_decay_curve(*args) - me.observables["p"])) < 1e-8
 
 
 def test_amplitude_decay_rejects_nonuniform_grid():
@@ -226,7 +247,7 @@ def test_decay_runners_do_not_integrate_the_master_equation(tmp_path, monkeypatc
     def boom(*args, **kwargs):
         raise AssertionError("master-equation path reached")
 
-    monkeypatch.setattr(experiments, "integrate_me", boom)
+    monkeypatch.setattr(lindblad, "solve_ivp", boom)
     _run(tmp_path / "c", experiment="convergence", N_A=[0, 2], t_max=3.0, dt=0.1)
     _run(tmp_path / "p", experiment="purcell", Gamma_tau=1e-2)
     with pytest.raises(AssertionError):
@@ -256,6 +277,18 @@ def test_markovian_overlay_is_capped():
     cols = markovian_overlay(n=6)
     assert np.max(cols["rho_ee"]) <= 0.5 + 1e-8
     assert np.all(cols["rho_ee"] >= 0.0)
+
+
+def test_markovian_overlay_is_the_pointwise_steady_state():
+    # one vectorized call, bitwise the per-point closed form, Omega_D outermost
+    cols = markovian_overlay(n=5)
+    grid = itertools.product(
+        np.linspace(0.0, 6.0, 5), np.linspace(0.05, 4.0, 5), np.linspace(0.0, 4.0, 5)
+    )
+    rows = [(OD, ka, kp, *qubit_steady_state(OD, ka, kp)) for OD, ka, kp in grid]
+    names = ("Omega_D", "kappa", "kappa_phi", "rho_ee", "rho_eg_abs")
+    for name, ref in zip(names, np.array(rows).T):
+        assert np.array_equal(cols[name], ref), name
 
 
 def test_model_steady_state_matches_qubit_limit():

@@ -13,12 +13,19 @@ from mirrorqed.hilbert import (
     CompositeSpace,
     DimensionMismatchError,
     SectorSizeError,
-    destroy,
-    number_op,
     sigma_minus,
     sigma_plus,
     sigma_x,
 )
+
+
+def destroy(dim):
+    """Truncated annihilation operator; [a, a+] = 1 except in the top level."""
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
+
+
+def number_op(dim):
+    return np.diag(np.arange(dim, dtype=float)).astype(complex)
 
 
 def _kept(space):
@@ -143,7 +150,7 @@ def test_embed_on_many_mode_capped_space_stays_in_range():
     # 4^41 exceeds int64: a mixed-radix key of the occupations would overflow
     space = CompositeSpace(n_modes=41, n_max=3, max_excitations=2)
     a = destroy(4)
-    ad = space.embed(a.T, space.mode_factor(40))
+    ad = space.embed(a.T, 41)  # mode 40 is factor 41
     assert isinstance(ad, scipy.sparse.csr_matrix)
     assert ad.indices.max() < space.dim
     assert np.all(ad.data != 0)
@@ -235,8 +242,8 @@ def test_one_body_equals_sum_of_ladder_products(n_modes, n_max, cap, data):
     ref = np.zeros((space.dim, space.dim), dtype=complex)
     for i in range(n_modes):
         for j in range(n_modes):
-            ad_i = space.embed(a.conj().T, space.mode_factor(i))
-            ref += h[i, j] * (ad_i @ space.embed(a, space.mode_factor(j))).toarray()
+            ad_i = space.embed(a.conj().T, 1 + i)
+            ref += h[i, j] * (ad_i @ space.embed(a, 1 + j)).toarray()
     built = space.one_body(h)
     assert isinstance(built, scipy.sparse.csr_matrix)
     assert np.all(built.data != 0)
@@ -274,15 +281,42 @@ def test_lowering_equals_weighted_sum_of_embeds(n_modes, n_max, cap, data):
     a = destroy(n_max + 1)
     ref = np.zeros((space.dim, space.dim), dtype=complex)
     for i in range(n_modes):
-        ref += w[i] * space.embed(a, space.mode_factor(i)).toarray()
+        ref += w[i] * space.embed(a, 1 + i).toarray()
     built = space.lowering(w)
     assert isinstance(built, scipy.sparse.csr_matrix)
+    assert np.all(built.data != 0)
     assert np.array_equal(built.toarray(), ref)
 
 
 def test_lowering_rejects_wrong_weight_count():
     with pytest.raises(DimensionMismatchError):
         CompositeSpace(n_modes=3, n_max=1).lowering(np.ones(2))
+
+
+@given(
+    n_modes=st.integers(1, 4),
+    n_max=st.integers(0, 3),
+    cap=st.none() | st.integers(0, 5),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_emitter_hamiltonian_equals_sum_of_embeds(n_modes, n_max, cap, data):
+    space = CompositeSpace(n_modes, n_max, max_excitations=cap)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    h = rng.normal(size=(n_modes, n_modes)) + 1j * rng.normal(size=(n_modes, n_modes))
+    h = h + h.conj().T
+    # some couplings exactly zero, as on every chain site but n0
+    g = rng.normal(size=n_modes) * (rng.random(n_modes) < 0.7)
+    a = destroy(n_max + 1)
+    sm = space.embed(sigma_minus(), 0).toarray()
+    ref = space.one_body(h).toarray()
+    for i in range(n_modes):
+        couple = g[i] * space.embed(a.T, 1 + i).toarray() @ sm
+        ref += couple + couple.conj().T
+    built = space.emitter_hamiltonian(h, g)
+    assert isinstance(built, scipy.sparse.csr_matrix)
+    assert np.all(built.data != 0)
+    assert np.allclose(built.toarray(), ref, rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize(

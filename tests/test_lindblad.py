@@ -9,13 +9,12 @@ from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorqed.hilbert import as_csr, destroy, number_op, sigma_minus, sigma_plus, sigma_x
+from mirrorqed.hilbert import as_csr, sigma_minus, sigma_plus, sigma_x
 from mirrorqed.lindblad import (
     DriveDissipationSpec,
     NonHermitianError,
     NonUniqueSteadyStateError,
     TRACE_NULL_TOL,
-    atom_op,
     build_hamiltonian,
     build_jump_ops,
     build_liouvillian,
@@ -232,22 +231,21 @@ def test_jump_ops_channels():
 
 
 def _per_mode_operators(model, drive, space):
-    """The per-mode embed loops that built H, A and N before the one-shot lifts
-    (rotating frame)."""
-    mode = space.mode_factor
-    a = destroy(space.n_max + 1)
-    n_local = number_op(space.n_max + 1)
+    """The per-mode embed loops that built H, A and N before the one-shot lifts;
+    mode m is factor 1 + m."""
+    a = np.diag(np.sqrt(np.arange(1, space.n_max + 1, dtype=float)), k=1)
+    n_local = np.diag(np.arange(space.n_max + 1, dtype=float)).astype(complex)
     sm = space.embed(sigma_minus(), 0)
     H = sp.csr_matrix((space.dim, space.dim), dtype=complex)
     A = sp.csr_matrix((space.dim, space.dim), dtype=complex)
     N = space.embed(np.diag([0.0, 1.0]).astype(complex), 0)
     for m, (freq, g) in enumerate(zip(model.detunings(), model.g_nu)):
         if freq != 0.0:
-            H += freq * space.embed(n_local, mode(m))
-        adag_sm = space.embed(a.T, mode(m)) @ sm
+            H += freq * space.embed(n_local, 1 + m)
+        adag_sm = space.embed(a.T, 1 + m) @ sm
         H += g * (adag_sm + adag_sm.conj().T)
-        A += space.embed(a, mode(m))
-        N += space.embed(n_local, mode(m))
+        A += space.embed(a, 1 + m)
+        N += space.embed(n_local, 1 + m)
     if drive.Omega_D != 0.0:
         H += 0.5 * drive.Omega_D * space.embed(sigma_x(), 0)
     return H, A, N
@@ -285,27 +283,6 @@ def test_model_operators_are_bitwise_the_per_mode_sums(
     assert _same_csr(
         build_liouvillian(*built).Heff, build_liouvillian(H, [(A, m.gamma)]).Heff
     )
-
-
-def test_rotating_and_lab_frames_share_populations():
-    p = params_from_dimensionless(0.5, math.pi, min_half_waves=2)
-    Lb = snap_block_length(p, 1.0)
-    t = np.linspace(0, 1.5, 16)
-    pops = {}
-    for frame in ("rotating", "lab"):
-        m = build_effective_model(p, Lb, N_A=1, frame=frame)
-        space = space_for_model(m, n_max=1, max_excitations=1)
-        H = build_hamiltonian(m, DriveDissipationSpec(gamma=m.gamma), space)
-        jumps = build_jump_ops(m, DriveDissipationSpec(gamma=m.gamma), space)
-        psi0 = space.vacuum(excited=True)
-        rho0 = np.outer(psi0, psi0.conj())
-        res = integrate_me(
-            build_liouvillian(H, jumps), rho0, t,
-            e_ops={"p": atom_op(space, sigma_plus() @ sigma_minus())},
-            rtol=1e-10, atol=1e-12, keep_states=False,
-        )
-        pops[frame] = res.observables["p"]
-    assert np.max(np.abs(pops["rotating"] - pops["lab"])) < 1e-6
 
 
 def test_time_dependent_drive_term():

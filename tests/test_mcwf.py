@@ -215,7 +215,7 @@ def _driven_problem(seed):
 def _pulse_problem(seed):
     """A Gaussian pulse on a small scattering model: td_terms, callable e_ops."""
     params = params_from_dimensionless(1.0, math.pi / 2)
-    model = build_effective_model(params, snap_block_length(params, 2.0), 1, frame="rotating")
+    model = build_effective_model(params, snap_block_length(params, 2.0), 1)
     space = space_for_model(model, n_max=2, max_excitations=3)
     spec = PulseSpec(W=2.5 * params.Gamma, t0=2.0 / params.Gamma, n_ph=0.5)
     drive = DriveDissipationSpec(gamma=model.gamma)

@@ -63,15 +63,6 @@ def _scattering_setup(N_A=1, Gamma_tau=1.0, phi=math.pi / 2, n_max=2, cap=2):
     return model, space
 
 
-def test_drive_requires_rotating_frame():
-    p = params_from_dimensionless(1.0, math.pi, min_half_waves=2)
-    L = snap_block_length(p, 1.0)
-    model = build_effective_model(p, L, 0, frame="lab")
-    space = space_for_model(model, n_max=1, max_excitations=1)
-    with pytest.raises(ParameterError):
-        build_drive_term(model, PulseSpec(W=1.0, t0=0.0, n_ph=0.1), space)
-
-
 def test_output_operator_structure():
     model, space = _scattering_setup()
     O = output_operator(space, model.gamma, E_in=0.3 + 0.1j)
