@@ -17,8 +17,7 @@ import scipy.sparse as sp
 from scipy.special import jv
 
 from .hilbert import CompositeSpace
-from .mcwf import uniform_step
-from .results import EvolutionResult
+from .results import EvolutionResult, uniform_step
 
 K_WINDOW = (0.2 * math.pi, 0.8 * math.pi)
 # Chebyshev terms of the step propagator are kept down to this modulus; past

@@ -33,9 +33,9 @@ from .lindblad import (
     steady_state,
     total_excitation_op,
 )
-from .mcwf import effective_hamiltonian, mcwf_evolve, uniform_step
+from .mcwf import mcwf_evolve
 from .model import build_effective_model, params_from_dimensionless, snap_block_length
-from .results import write_csv
+from .results import uniform_step, write_csv
 from .scattering import PulseSpec, build_drive_term, flux_balance, make_output_e_ops
 
 PULSE = {"W": 2.5, "t0": 2.0, "n_ph": 0.5, "delta_in": 0.0}
@@ -267,7 +267,7 @@ def _amplitude_decay(Gamma_tau, phi, ratio, N_A, t_grid):
     Gamma, model, space, jumps = _model_problem(Gamma_tau, phi, ratio, N_A, 1, 1)
     H = build_hamiltonian(model, DriveDissipationSpec(), space)
     h = uniform_step(np.asarray(t_grid, dtype=float) / Gamma)
-    U = expm(-1j * h * effective_hamiltonian(H, jumps).toarray())
+    U = expm(-1j * h * build_liouvillian(H, jumps).Heff.toarray())
     amps = np.empty((len(t_grid), space.dim), dtype=complex)
     amps[0] = space.vacuum(excited=True)
     for k in range(1, len(t_grid)):
@@ -489,7 +489,7 @@ def run_scattering(config: ExperimentConfig) -> tuple:
         t,
         n_traj=config.n_traj,
         seed=config.seed,
-        td_terms=[(coeff, Adag)],
+        drive=(coeff, Adag),
         e_ops=e_ops,
         substeps=config.substeps,
         leak_projector=space.boundary_projector(),

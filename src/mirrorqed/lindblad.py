@@ -18,7 +18,6 @@ from scipy.linalg import get_lapack_funcs, schur
 from scipy.sparse.linalg import LinearOperator, eigs
 
 from .hilbert import CompositeSpace, as_csr, sigma_x
-from .mcwf import effective_hamiltonian
 from .model import EffectiveModel, ParameterError
 from .results import EvolutionResult
 
@@ -115,30 +114,36 @@ def _require_hermitian(M, what: str) -> None:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Lindblad generator of H and its jumps, applied to d x d density matrices.
+    """Lindblad generator of H, its jumps and an optional drive.
 
     Heff = H - (i/2) sum_k rate_k J_k+ J_k; jumps are the (CSR op, rate > 0)
-    pairs.  For Hermitian rho, L(rho) = -i(B - B+) + sum_k rate_k J_k rho J_k+
-    with B = Heff rho, since rho Heff+ = (Heff rho)+.
+    pairs; drive, if any, is (coeff_fn, V, V+), adding c(t) V + conj(c(t)) V+
+    to H.  For Hermitian rho, L(rho) = -i(B - B+) + sum_k rate_k J_k rho J_k+
+    with B = Heff(t) rho, since rho Heff(t)+ = (Heff(t) rho)+.
     """
 
     Heff: sp.csr_matrix
     jumps: tuple
+    drive: tuple | None = None
 
     @property
     def nnz(self) -> int:
         """Stored entries of Heff and of the jump operators."""
         return self.Heff.nnz + sum(op.nnz for op, _ in self.jumps)
 
-    def apply(self, rho: np.ndarray, drive: np.ndarray | None = None) -> np.ndarray:
-        """L(rho) for Hermitian rho.
+    def heff(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Heff(t) x = Heff x + c V x + conj(c) V+ x, summed in that order."""
+        out = self.Heff @ x
+        if self.drive is not None:
+            fn, V, Vd = self.drive
+            c = fn(t)
+            if c != 0.0:
+                out = out + c * (V @ x) + np.conj(c) * (Vd @ x)
+        return out
 
-        drive, if given, is V rho for a Hermitian term V added to H (a
-        time-dependent drive at the current time); it folds into B.
-        """
-        B = self.Heff @ rho
-        if drive is not None:
-            B += drive
+    def apply(self, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
+        """L(rho) at time t, for Hermitian rho."""
+        B = self.heff(t, rho)
         out = -1j * (B - B.conj().T)
         for op, rate in self.jumps:
             # J rho J+ = J (J rho)+ for Hermitian rho
@@ -146,14 +151,23 @@ class Liouvillian:
         return out
 
 
-def build_liouvillian(H, jumps=()) -> Liouvillian:
-    """Generator of H with (operator, rate) jumps, after the Hermiticity and rate checks."""
-    Hm = as_csr(H)
-    _require_hermitian(Hm, "Hamiltonian")
+def build_liouvillian(H, jumps=(), drive=None) -> Liouvillian:
+    """Generator of H with (operator, rate) jumps and a (coeff_fn, op) drive.
+
+    H must be Hermitian and the rates non-negative; jumps of rate 0 are
+    dropped.  drive is the pair ``build_drive_term`` returns.
+    """
+    Heff = as_csr(H)
+    _require_hermitian(Heff, "Hamiltonian")
     if any(rate < 0 for _, rate in jumps):
         raise ParameterError("jump rates must be non-negative")
     kept = tuple((as_csr(op), rate) for op, rate in jumps if rate > 0)
-    return Liouvillian(effective_hamiltonian(Hm, kept), kept)
+    for J, rate in kept:
+        Heff = Heff - 0.5j * float(rate) * (J.conj().T @ J)
+    if drive is not None:
+        fn, op = drive
+        drive = (fn, as_csr(op), as_csr(op).conj().T.tocsr())
+    return Liouvillian(Heff.tocsr(), kept, drive)
 
 
 def expectation(op, rho: np.ndarray) -> complex:
@@ -167,16 +181,13 @@ def integrate_me(
     L: Liouvillian,
     rho0: np.ndarray,
     t_grid: np.ndarray,
-    td_terms=(),
     e_ops=None,
     rtol: float = 1e-8,
     atol: float = 1e-10,
     keep_states: bool = True,
 ) -> EvolutionResult:
-    """Integrate rho' = L(rho) with RK45 on the d x d density matrix.
+    """Integrate rho' = L(rho, t) with RK45 on the d x d density matrix.
 
-    td_terms: (coeff_fn, op) pairs adding c(t) op + conj(c(t)) op+ to H, the
-    convention of ``mcwf_evolve`` and the output of ``build_drive_term``.
     e_ops: name -> operator, recorded as Re Tr(op rho).  rho0 must be
     Hermitian.  Trace is never renormalized: its drift is reported as the
     trace_residual series.
@@ -185,17 +196,9 @@ def integrate_me(
     rho0 = np.asarray(rho0, dtype=complex)
     _require_hermitian(rho0, "rho0")
     d = rho0.shape[0]
-    td = [(fn, as_csr(op), as_csr(op).conj().T.tocsr()) for fn, op in td_terms]
 
     def rhs(t, y):
-        rho = y.reshape(d, d)
-        drive = None
-        for fn, V, Vd in td:
-            c = fn(t)
-            if c != 0.0:
-                term = c * (V @ rho) + np.conj(c) * (Vd @ rho)
-                drive = term if drive is None else drive + term
-        return L.apply(rho, drive).reshape(-1)
+        return L.apply(y.reshape(d, d), t).reshape(-1)
 
     sol = solve_ivp(
         rhs,

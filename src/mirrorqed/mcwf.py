@@ -1,21 +1,24 @@
 """Monte-Carlo wave-function unraveling of a Lindblad generator.
 
+Trajectories run on the ``Liouvillian`` the master equation integrates: they
+step psi' = -i Heff(t) psi with its ``heff`` and jump with its jumps.
+
 Between jumps every trajectory follows the same deterministic non-Hermitian
 flow, so the no-jump path from t0 is integrated once and shared: a trajectory
 whose jump threshold is never crossed *is* the reference path, and one that
 jumps only needs individual propagation from its jump time onward.  This is
-an exact reformulation, not an approximation.
+an exact reformulation, not an approximation.  Every threshold is drawn
+first, so the one pass of the shared path hands each jumping trajectory the
+path's state at the substep boundary before its first jump.
 
-The jumping trajectories then advance together, in lock-step over the
+From there the jumping trajectories advance together, in lock-step over the
 substep grid, as the columns of one dim x B block: each RK4 stage is one
 sparse product per operator for the whole block, and each drive coefficient
-is evaluated once per stage.  A trajectory joins the block at the substep
-boundary before its first jump, in the state of the shared path.  After each
-block step every column's norm^2 is tested against that column's own
-threshold; a column that crosses leaves the block for the substep, takes its
-jumps one vector at a time (bisection, channel choice, the rest of the
-substep) and rejoins.  Observables and boundary leakage are per-column
-reductions at the grid points.
+is evaluated once per stage.  After each block step every column's norm^2 is
+tested against that column's own threshold; a column that crosses leaves the
+block for the substep, takes its jumps one vector at a time (bisection,
+channel choice, the rest of the substep) and rejoins.  Observables and
+boundary leakage are per-column reductions at the grid points.
 
 Every per-column number is computed by the same scalar call on a contiguous
 copy of that column (``column_vdot``, ``np.linalg.norm``), and a sparse
@@ -32,10 +35,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .hilbert import as_csr
-from .results import EvolutionResult
+from .lindblad import Liouvillian, build_liouvillian
+from .results import EvolutionResult, uniform_step
 
 JUMP_TIME_TOL = 1e-6
 LEAK_WARN_THRESHOLD = 1e-3
@@ -61,8 +64,7 @@ def column_vdot(a: np.ndarray, b: np.ndarray):
 
 @dataclass
 class _Problem:
-    Heff: sp.csr_matrix  # H - (i/2) sum_k rate_k Jk+ Jk
-    td: list  # (coeff_fn, V, V_dagger) triples: H(t) += c V + conj(c) V+
+    L: Liouvillian  # Heff, the jumps and the drive
     jump_ops: list  # sqrt(rate_k) * J_k
     e_ops: dict  # name -> CSR matrix, or callable(t, dim x B block) -> B values
     leak_diag: np.ndarray | None
@@ -71,12 +73,7 @@ class _Problem:
     n_sub: int
 
     def deriv(self, t: float, psi: np.ndarray) -> np.ndarray:
-        out = self.Heff @ psi
-        for fn, V, Vd in self.td:
-            c = fn(t)
-            if c != 0.0:
-                out = out + c * (V @ psi) + np.conj(c) * (Vd @ psi)
-        return -1j * out
+        return -1j * self.L.heff(t, psi)
 
     def rk4_step(self, t: float, psi: np.ndarray, h: float) -> np.ndarray:
         k1 = self.deriv(t, psi)
@@ -101,28 +98,34 @@ class _Problem:
         return obs, column_vdot(pn, self.leak_diag[:, None] * pn).real
 
 
-def _reference_path(prob: _Problem, psi0: np.ndarray):
-    """No-jump path: norm^2 at every substep, states/records at grid points."""
-    n_int = len(prob.t_grid) - 1
-    norms2 = np.empty(n_int * prob.n_sub + 1)
-    norms2[0] = float(np.vdot(psi0, psi0).real)
-    grid_states = [psi0.copy()]
-    obs = np.empty((len(prob.t_grid), len(prob.e_ops)))
-    leak = np.empty(len(prob.t_grid))
+def _reference_path(prob: _Problem, psi0: np.ndarray, r: list):
+    """No-jump path: records at the grid points, and each trajectory's join.
+
+    Trajectory j joins at the substep boundary before the first substep at
+    whose end the no-jump norm^2 is below its threshold r[j], in the path's
+    state there: joins[j] is (boundary, state), or None if it never jumps.
+    """
+    n_grid = len(prob.t_grid)
+    obs = np.empty((n_grid, len(prob.e_ops)))
+    leak = np.empty(n_grid)
     obs[:1], leak[:1] = prob.record(float(prob.t_grid[0]), psi0[:, None])
+    joins = [None] * len(r)
+    waiting = sorted(range(len(r)), key=r.__getitem__)  # the highest r crosses first
     psi = psi0.copy()
     s = 0
-    for m in range(n_int):
+    for m in range(n_grid - 1):
         t = float(prob.t_grid[m])
-        for r in range(prob.n_sub):
-            psi = prob.rk4_step(t + r * prob.h, psi, prob.h)
+        for k in range(prob.n_sub):
+            psi_next = prob.rk4_step(t + k * prob.h, psi, prob.h)
+            n2 = float(np.vdot(psi_next, psi_next).real)
+            while waiting and n2 < r[waiting[-1]]:
+                joins[waiting.pop()] = (s, psi)
+            psi = psi_next
             s += 1
-            norms2[s] = float(np.vdot(psi, psi).real)
-        grid_states.append(psi.copy())
         obs[m + 1 : m + 2], leak[m + 1 : m + 2] = prob.record(
             float(prob.t_grid[m + 1]), psi[:, None]
         )
-    return norms2, grid_states, obs, leak
+    return obs, leak, joins
 
 
 def _locate_jump(prob: _Problem, psi0: np.ndarray, t0: float, h: float, r: float, psi_hi):
@@ -168,28 +171,12 @@ def _advance(prob: _Problem, psi: np.ndarray, t0: float, t1: float, r: float, rn
             raise RuntimeError("jump rate pathologically high; reduce the substep")
 
 
-def _join_states(prob: _Problem, grid_states: dict, substeps) -> dict:
-    """Shared no-jump state at each substep boundary in ``substeps``.
-
-    Stepped from the grid state before it (grid index -> state) exactly as
-    the reference path stepped, so the state is bitwise the reference path's.
-    """
-    states = {}
-    for s in sorted(set(substeps)):
-        m = s // prob.n_sub
-        t = float(prob.t_grid[m])
-        psi = grid_states[m].copy()
-        for k in range(s - m * prob.n_sub):
-            psi = prob.rk4_step(t + k * prob.h, psi, prob.h)
-        states[s] = psi
-    return states
-
-
-def _run_block(prob: _Problem, grid_states, s0, r, rngs, ref_obs, ref_leak):
+def _run_block(prob: _Problem, s0, states, r, rngs, ref_obs, ref_leak):
     """Advance trajectories in lock-step from their join substeps s0 to the end.
 
-    Trajectory j follows the no-jump path up to substep boundary s0[j], its
-    first jump falls inside substep s0[j], and r[j] is its norm^2 threshold.
+    Trajectory j follows the no-jump path up to substep boundary s0[j], where
+    that path is in states[j]; its first jump falls inside the substep after
+    it, and r[j] is its norm^2 threshold.
     Returns per-trajectory observables (B x n_grid x n_obs), leakages
     (B x n_grid) and jump counts.
     """
@@ -202,9 +189,9 @@ def _run_block(prob: _Problem, grid_states, s0, r, rngs, ref_obs, ref_leak):
         leak[j, : m0 + 1] = ref_leak[: m0 + 1]
     r = np.array(r)
     jumps = np.zeros(len(s0), dtype=int)
-    joining = _join_states(prob, grid_states, s0)
+    joining = dict(zip(s0, states))
     cols = np.empty(0, dtype=int)  # trajectory of each block column
-    psi = np.empty((prob.Heff.shape[0], 0), dtype=complex)
+    psi = np.empty((prob.L.Heff.shape[0], 0), dtype=complex)
     for s in range(min(s0) + 1, (n_grid - 1) * prob.n_sub + 1):
         if s - 1 in joining:
             new = [j for j, sj in enumerate(s0) if sj == s - 1]
@@ -224,26 +211,6 @@ def _run_block(prob: _Problem, grid_states, s0, r, rngs, ref_obs, ref_leak):
     return obs, leak, jumps
 
 
-def uniform_step(t_grid: np.ndarray) -> float:
-    """Step of a strictly increasing, uniform grid of at least two points."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing with >= 2 points")
-    step = float(t_grid[1] - t_grid[0])
-    if not np.allclose(np.diff(t_grid), step, rtol=1e-9, atol=0):
-        raise ValueError("t_grid must be uniform")
-    return step
-
-
-def effective_hamiltonian(H, jumps) -> sp.csr_matrix:
-    """Heff = H - (i/2) sum_k rate_k J_k+ J_k for (operator, rate) pairs."""
-    Heff = as_csr(H)
-    for J, rate in jumps:
-        J = as_csr(J)
-        Heff = Heff - 0.5j * float(rate) * (J.conj().T @ J)
-    return Heff.tocsr()
-
-
 def mcwf_evolve(
     H,
     jumps,
@@ -251,14 +218,15 @@ def mcwf_evolve(
     t_grid: np.ndarray,
     n_traj: int,
     seed: int,
-    td_terms=(),
+    drive=None,
     e_ops=None,
     substeps: int = 1,
     leak_projector: np.ndarray | None = None,
 ) -> EvolutionResult:
     """Trajectory-averaged observables with standard errors.
 
-    jumps: (operator, rate) pairs.  td_terms: (coeff_fn, op) pairs adding
+    H, jumps and drive make the generator, as in ``build_liouvillian``:
+    (operator, rate) pairs, and one (coeff_fn, op) pair adding
     c(t) op + conj(c(t)) op+ to the Hamiltonian.  e_ops: name -> matrix, or
     name -> callable(t, block) for composite observables, where block is a
     dim x B array of normalized states and the callable returns B values;
@@ -279,10 +247,7 @@ def mcwf_evolve(
     if abs(nrm0 - 1.0) > 1e-10:
         raise ValueError("psi0 must be normalized")
 
-    jump_list = [(as_csr(op), float(rate)) for op, rate in jumps]
-    Heff = effective_hamiltonian(H, jump_list)
-    td = [(fn, as_csr(op), as_csr(op).conj().T.tocsr()) for fn, op in td_terms]
-    scaled_jumps = [np.sqrt(rate) * J for J, rate in jump_list if rate > 0]
+    L = build_liouvillian(H, jumps, drive)
 
     e_ops = {k: op if callable(op) else as_csr(op) for k, op in (e_ops or {}).items()}
     leak_diag = None
@@ -294,9 +259,8 @@ def mcwf_evolve(
             )
 
     prob = _Problem(
-        Heff=Heff,
-        td=td,
-        jump_ops=scaled_jumps,
+        L=L,
+        jump_ops=[np.sqrt(rate) * J for J, rate in L.jumps],
         e_ops=e_ops,
         leak_diag=leak_diag,
         t_grid=t_grid,
@@ -304,23 +268,18 @@ def mcwf_evolve(
         n_sub=substeps,
     )
 
-    norms2, grid_states, ref_obs, ref_leak = _reference_path(prob, psi0)
+    rngs = [
+        np.random.Generator(np.random.Philox(key=np.array([seed, traj], dtype=np.uint64)))
+        for traj in range(n_traj)
+    ]
+    thresholds = [rng.random() for rng in rngs]
+    ref_obs, ref_leak, joins = _reference_path(prob, psi0, thresholds)
     n_grid, n_obs = ref_obs.shape
-    n_sub_total = (n_grid - 1) * prob.n_sub
-
-    jumping = []  # (rng, threshold, substep of the first jump), by trajectory
-    for traj in range(n_traj):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, traj], dtype=np.uint64))
-        )
-        r = rng.random()
-        # first substep boundary where the no-jump norm^2 dips below r
-        idx = int(np.searchsorted(-norms2, -r, side="right"))
-        if idx <= n_sub_total:
-            jumping.append((rng, r, idx - 1))
+    # (rng, threshold, join boundary, join state) of each jumping trajectory
+    jumping = [
+        (rng, r, *join) for rng, r, join in zip(rngs, thresholds, joins) if join is not None
+    ]
     n_cached = n_traj - len(jumping)
-    # the blocks need only the grid states that some trajectory joins from
-    grid_states = {s0 // prob.n_sub: grid_states[s0 // prob.n_sub] for _, _, s0 in jumping}
 
     # blocks of consecutive jumping trajectories, summed in trajectory order
     obs_sum = np.zeros((n_grid, n_obs))
@@ -329,8 +288,8 @@ def mcwf_evolve(
     peaks = [float(np.max(ref_leak))] * n_cached
     width = max(1, BLOCK_BYTES // (16 * len(psi0)))
     for b in range(0, len(jumping), width):
-        rngs, rs, s0 = zip(*jumping[b : b + width])
-        obs, leak, jumps = _run_block(prob, grid_states, s0, rs, rngs, ref_obs, ref_leak)
+        block_rngs, rs, s0, states = zip(*jumping[b : b + width])
+        obs, leak, jumps = _run_block(prob, s0, states, rs, block_rngs, ref_obs, ref_leak)
         total_jumps += int(jumps.sum())
         peaks.extend(leak.max(axis=1))
         for obs_traj in obs:

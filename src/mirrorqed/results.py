@@ -18,6 +18,17 @@ class EvolutionResult:
     states: list | None = None  # density matrices or kets, when retained
 
 
+def uniform_step(t_grid: np.ndarray) -> float:
+    """Step of a strictly increasing, uniform grid of at least two points."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if len(t_grid) < 2 or np.any(np.diff(t_grid) <= 0):
+        raise ValueError("t_grid must be strictly increasing with >= 2 points")
+    step = float(t_grid[1] - t_grid[0])
+    if not np.allclose(np.diff(t_grid), step, rtol=1e-9, atol=0):
+        raise ValueError("t_grid must be uniform")
+    return step
+
+
 def write_csv(path, columns: dict) -> None:
     """Plain deterministic CSV of named 1-d columns of one length.
 

@@ -53,9 +53,10 @@ def gaussian_envelope(spec: PulseSpec, t):
 def build_drive_term(model: EffectiveModel, spec: PulseSpec, space: CompositeSpace):
     """Drive coefficient and the collective raising operator.
 
-    Returns (coeff_fn, op) suitable for the td_terms of the integrators:
-    H(t) += coeff(t) * op + h.c., with op = sum_nu a_nu^dagger.  The minus
-    sign pairs the drive with the output convention of output_observables.
+    Returns the (coeff_fn, op) drive that ``build_liouvillian`` and
+    ``mcwf_evolve`` take: H(t) += coeff(t) * op + h.c., with
+    op = sum_nu a_nu^dagger.  The minus sign pairs the drive with the output
+    convention of output_observables.
     """
     root_gamma = math.sqrt(model.gamma)
 
@@ -71,7 +72,7 @@ def output_operator(space: CompositeSpace, gamma: float, E_in: complex) -> sp.cs
     return E_in * eye + 1j * math.sqrt(gamma) * collective_mode_op(space)
 
 
-def make_output_e_ops(space: CompositeSpace, model: EffectiveModel, spec: PulseSpec | None):
+def make_output_e_ops(space: CompositeSpace, model: EffectiveModel, spec: PulseSpec):
     """Callable observables I_out and G2 for the MCWF engine.
 
     I_out = <O+ O>, G2 = <O+ O+ O O>, evaluated on normalized states: a
@@ -81,33 +82,29 @@ def make_output_e_ops(space: CompositeSpace, model: EffectiveModel, spec: PulseS
     A = collective_mode_op(space)
     rg = math.sqrt(model.gamma)
 
-    def envelope(t: float) -> complex:
-        return gaussian_envelope(spec, t) if spec is not None else 0.0
-
     def apply_O(E: complex, psi: np.ndarray) -> np.ndarray:
         return E * psi + 1j * rg * (A @ psi)
 
     def i_out(t: float, psi: np.ndarray):
-        Op = apply_O(envelope(t), psi)
+        Op = apply_O(gaussian_envelope(spec, t), psi)
         return column_vdot(Op, Op).real
 
     def g2(t: float, psi: np.ndarray):
-        E = envelope(t)
+        E = gaussian_envelope(spec, t)
         OOp = apply_O(E, apply_O(E, psi))
         return column_vdot(OOp, OOp).real
 
     return {"I_out": i_out, "G2": g2}
 
 
-def output_observables(result: EvolutionResult, model: EffectiveModel, space: CompositeSpace, spec: PulseSpec | None = None):
+def output_observables(result: EvolutionResult, model: EffectiveModel, space: CompositeSpace, spec: PulseSpec):
     """(I_out(t), G2(t)) from a density-matrix evolution with retained states."""
     if result.states is None:
         raise ParameterError("evolution result does not retain states")
     I_out = np.empty(len(result.t))
     G2 = np.empty(len(result.t))
     for i, (t, rho) in enumerate(zip(result.t, result.states)):
-        E = gaussian_envelope(spec, t) if spec is not None else 0.0
-        O = output_operator(space, model.gamma, E)
+        O = output_operator(space, model.gamma, gaussian_envelope(spec, t))
         I_out[i] = expectation(O.conj().T @ O, rho).real
         O2 = O @ O
         G2[i] = expectation(O2.conj().T @ O2, rho).real

@@ -1,4 +1,8 @@
-"""Every package module uses each name it imports, and no other object's privates."""
+"""Import hygiene of the package modules.
+
+Each module uses every name it imports, imports no module of a later layer,
+and reads no other object's privates.
+"""
 
 import ast
 from pathlib import Path
@@ -31,6 +35,37 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+# lower layers first: a module imports only modules before it
+LAYERS = [
+    "results", "hilbert", "model", "dde", "lindblad",
+    "mcwf", "scattering", "chain", "experiments", "cli",
+]
+
+
+def later_imports(name: str, source: str) -> list:
+    """Package modules of a later layer than ``name`` that ``source`` imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            targets = [node.module] if node.module else [a.name for a in node.names]
+            found += [t for t in targets if t in LAYERS and LAYERS.index(t) > LAYERS.index(name)]
+    return found
+
+
+def test_scan_flags_a_later_layer():
+    src = "from .results import write_csv\nfrom .mcwf import mcwf_evolve\nfrom . import cli\n"
+    assert later_imports("lindblad", src) == ["mcwf", "cli"]
+
+
+def test_every_module_has_a_layer():
+    assert sorted(p.stem for p in MODULES) == sorted(LAYERS)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_no_later_layer(path):
+    assert later_imports(path.stem, path.read_text()) == []
 
 
 def private_reads(source: str) -> list:

@@ -291,11 +291,11 @@ def test_time_dependent_drive_term():
     Omega, kappa = 0.8, 1.0
     sigma_y = np.array([[0.0, -1j], [1j, 0.0]])
     L0 = build_liouvillian(0.5 * Omega * sigma_y, [(sigma_minus(), kappa)])
-    L_free = build_liouvillian(np.zeros((2, 2)), [(sigma_minus(), kappa)])
+    drive = (lambda _t: 0.5j * Omega, sigma_plus())
+    L_driven = build_liouvillian(np.zeros((2, 2)), [(sigma_minus(), kappa)], drive)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     t = np.linspace(0, 3, 31)
     ref = integrate_me(L0, rho0, t, rtol=1e-10, atol=1e-12)
-    td = [(lambda _t: 0.5j * Omega, sigma_plus())]
-    res = integrate_me(L_free, rho0, t, td_terms=td, rtol=1e-10, atol=1e-12)
+    res = integrate_me(L_driven, rho0, t, rtol=1e-10, atol=1e-12)
     diff = max(np.max(np.abs(a - b)) for a, b in zip(ref.states, res.states))
     assert diff < 1e-7

@@ -11,6 +11,7 @@ from mirrorqed import mcwf
 from mirrorqed.hilbert import CompositeSpace, sigma_minus, sigma_plus, sigma_x
 from mirrorqed.lindblad import (
     DriveDissipationSpec,
+    NonHermitianError,
     atom_op,
     build_hamiltonian,
     build_jump_ops,
@@ -19,8 +20,13 @@ from mirrorqed.lindblad import (
     space_for_model,
     total_excitation_op,
 )
-from mirrorqed.mcwf import effective_hamiltonian, mcwf_evolve
-from mirrorqed.model import build_effective_model, params_from_dimensionless, snap_block_length
+from mirrorqed.mcwf import mcwf_evolve
+from mirrorqed.model import (
+    ParameterError,
+    build_effective_model,
+    params_from_dimensionless,
+    snap_block_length,
+)
 from mirrorqed.results import EvolutionResult
 from mirrorqed.scattering import (
     PulseSpec,
@@ -98,7 +104,7 @@ def test_drive_pair_adds_the_coefficient_times_op_plus_its_conjugate():
     t = np.linspace(0.0, 4.0, 81)
     psi0 = np.array([1.0, 0.0], dtype=complex)
     res = mcwf_evolve(
-        H, [], psi0, t, n_traj=1, seed=0, td_terms=[(coeff, op)],
+        H, [], psi0, t, n_traj=1, seed=0, drive=(coeff, op),
         e_ops={"p": np.diag([0.0, 1.0]).astype(complex)}, substeps=20,
     )
 
@@ -143,7 +149,7 @@ def test_callable_observables_and_time_dependence():
         t,
         n_traj=40,
         seed=1,
-        td_terms=[(coeff, np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex))],
+        drive=(coeff, np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)),
         e_ops={"n2": norm2, "p": np.diag([0.0, 1.0]).astype(complex)},
         substeps=6,
     )
@@ -164,7 +170,7 @@ def test_leak_projector_reports_boundary_population():
             t,
             n_traj=1,
             seed=0,
-            td_terms=[(lambda _t: 1.0, a.conj().T)],
+            drive=(lambda _t: 1.0, a.conj().T),
             e_ops={},
             substeps=12,
             leak_projector=space.boundary_projector(),
@@ -185,11 +191,52 @@ def test_input_validation():
         mcwf_evolve(np.zeros((2, 2)), [], psi0, t, n_traj=1, seed=0, leak_projector=np.eye(2))
     with pytest.raises(ValueError):
         mcwf_evolve(np.zeros((2, 2)), [], psi0, t, n_traj=1, seed=0, substeps=0)
+    # the generator's own checks, shared with the master equation
+    with pytest.raises(ParameterError):
+        mcwf_evolve(np.zeros((2, 2)), [(sigma_minus(), -1.0)], psi0, t, n_traj=1, seed=0)
+    with pytest.raises(NonHermitianError):
+        mcwf_evolve(sigma_minus(), [], psi0, t, n_traj=1, seed=0)
+
+
+@pytest.mark.parametrize("substeps", [1, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 5, 6, 7, 8])
+def test_lone_decay_jumps_at_minus_log_threshold(seed, substeps):
+    # with H = 0 the no-jump norm^2 of |e> is exp(-t), so the trajectory
+    # jumps to |g> when it reaches its first draw r, at t = -ln r: seed 8
+    # jumps inside the first substep, and seed 0 not before t = 4
+    t = np.linspace(0.0, 4.0, 81)
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    t_jump = -math.log(rng.random())
+    res = mcwf_evolve(
+        np.zeros((2, 2)), [(sigma_minus(), 1.0)], np.array([0.0, 1.0], dtype=complex), t,
+        n_traj=1, seed=seed, e_ops={"p": np.diag([0.0, 1.0]).astype(complex)},
+        substeps=substeps,
+    )
+    below = res.observables["p"] < 0.5
+    first = int(np.argmax(below)) if below.any() else len(t)
+    assert first == np.searchsorted(t, t_jump, side="right")
+    assert res.meta["total_jumps"] == int(t_jump < t[-1])
+
+
+def test_shared_path_joins_at_the_boundary_before_the_crossing():
+    # |psi0|^2 just below 1: a threshold between it and 1 is crossed in the
+    # first substep, so that trajectory joins at boundary 0 in state psi0
+    psi0 = np.array([0.0, math.sqrt(1.0 - 5e-11)], dtype=complex)
+    t = np.linspace(0.0, 1.0, 11)
+    prob = mcwf._Problem(
+        L=build_liouvillian(np.zeros((2, 2)), [(sigma_minus(), 1.0)]),
+        jump_ops=[sigma_minus()], e_ops={}, leak_diag=None, t_grid=t, h=0.05, n_sub=2,
+    )
+    r = [1.0 - 1e-11, math.exp(-0.32), 1e-3]
+    _, _, joins = mcwf._reference_path(prob, psi0, r)
+    assert joins[0][0] == 0 and np.array_equal(joins[0][1], psi0)
+    assert joins[1][0] == 6  # t = 0.30, the boundary before t = 0.32
+    assert joins[2] is None
 
 
 def test_effective_hamiltonian_adds_half_rate_loss():
     H = sigma_x().astype(complex)
-    Heff = effective_hamiltonian(H, [(sigma_minus(), 0.6), (sigma_x(), 0.0)])
+    Heff = build_liouvillian(H, [(sigma_minus(), 0.6), (sigma_x(), 0.0)]).Heff
     assert np.allclose(Heff.toarray(), H - 0.3j * np.diag([0.0, 1.0]))
 
 
@@ -213,7 +260,7 @@ def _driven_problem(seed):
 
 
 def _pulse_problem(seed):
-    """A Gaussian pulse on a small scattering model: td_terms, callable e_ops."""
+    """A Gaussian pulse on a small scattering model: a drive, callable e_ops."""
     params = params_from_dimensionless(1.0, math.pi / 2)
     model = build_effective_model(params, snap_block_length(params, 2.0), 1)
     space = space_for_model(model, n_max=2, max_excitations=3)
@@ -229,7 +276,7 @@ def _pulse_problem(seed):
         t_grid=np.linspace(0.0, 6.0, 61) / params.Gamma,
         n_traj=25,
         seed=seed,
-        td_terms=[build_drive_term(model, spec, space)],
+        drive=build_drive_term(model, spec, space),
         e_ops=e_ops,
         substeps=1,
         leak_projector=space.boundary_projector(),
@@ -274,8 +321,8 @@ def test_pulse_drive_matches_master_equation():
     kwargs["n_traj"] = 200
     psi0 = kwargs["psi0"]
     me = integrate_me(
-        build_liouvillian(kwargs["H"], kwargs["jumps"]), np.outer(psi0, psi0.conj()),
-        kwargs["t_grid"], td_terms=kwargs["td_terms"], e_ops={"atom": kwargs["e_ops"]["atom"]},
+        build_liouvillian(kwargs["H"], kwargs["jumps"], kwargs["drive"]),
+        np.outer(psi0, psi0.conj()), kwargs["t_grid"], e_ops={"atom": kwargs["e_ops"]["atom"]},
         rtol=1e-10, atol=1e-12, keep_states=False,
     )
     mc = mcwf_evolve(**kwargs)

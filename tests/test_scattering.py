@@ -110,8 +110,8 @@ def test_pulse_scattering_conserves_photon_number():
     rho0 = np.outer(space.vacuum(), space.vacuum().conj())
     t = np.linspace(0, 14, 281)
     res = integrate_me(
-        build_liouvillian(H, jumps), rho0, t,
-        td_terms=[build_drive_term(model, spec, space)], rtol=1e-9, atol=1e-12,
+        build_liouvillian(H, jumps, build_drive_term(model, spec, space)), rho0, t,
+        rtol=1e-9, atol=1e-12,
     )
     I_out, G2 = output_observables(res, model, space, spec)
     residual = float(
