@@ -21,7 +21,7 @@ from scipy.linalg import expm
 
 from . import __version__
 from .dde import fit_decay_rate, markovian_rate, solve_delay_ode
-from .hilbert import sigma_minus, sigma_plus
+from .hilbert import sigma_minus, sigma_plus, sigma_x
 from .lindblad import (
     DriveDissipationSpec,
     atom_op,
@@ -429,15 +429,25 @@ def model_steady_state(
 ):
     """(rho_ee, |rho_eg|) of the driven truncated model."""
     problem = _model_problem(Gamma_tau, phi, ratio, N_A, n_max, max_excitations)
-    return _driven_qubit(problem, Omega_D_over_Gamma)
+    return _driven_qubits(problem, [Omega_D_over_Gamma])[0]
 
 
-def _driven_qubit(problem, Omega_D):
-    """(rho_ee, |rho_eg|) of a ``_model_problem`` driven at Omega_D (units of Gamma)."""
+def _driven_qubits(problem, Omega_Ds):
+    """(rho_ee, |rho_eg|) of a ``_model_problem`` at each drive Omega_D (units of Gamma).
+
+    The emitter Hamiltonian and the atom's sigma_x are built once; each drive
+    adds 0.5 Omega sigma_x to H as ``build_hamiltonian`` does.
+    """
     Gamma, model, space, jumps = problem
-    H = build_hamiltonian(model, DriveDissipationSpec(Omega_D=Omega_D * Gamma), space)
-    rho_q = space.ptrace_qubit(steady_state(H, jumps))
-    return float(rho_q[1, 1].real), float(abs(rho_q[1, 0]))
+    H0 = build_hamiltonian(model, DriveDissipationSpec(), space)
+    sx = atom_op(space, sigma_x())
+    out = []
+    for Omega_D in Omega_Ds:
+        Omega = Omega_D * Gamma
+        H = H0 + 0.5 * Omega * sx if Omega != 0.0 else H0
+        rho_q = space.ptrace_qubit(steady_state(H, jumps))
+        out.append((float(rho_q[1, 1].real), float(abs(rho_q[1, 0]))))
+    return out
 
 
 def run_steady_sweep(config: ExperimentConfig) -> tuple:
@@ -456,7 +466,7 @@ def run_steady_sweep(config: ExperimentConfig) -> tuple:
         problem = _model_problem(config.Gamma_tau, config.phi, config.ratio, N_A, n, cap)
         dim = problem[2].dim  # of the space the steady states are solved in
         truncation.append({"N_A": N_A, "n_max": n, "max_excitations": cap, "dim": dim})
-        rho_ee, rho_eg = zip(*(_driven_qubit(problem, OD) for OD in config.Omega_D))
+        rho_ee, rho_eg = zip(*_driven_qubits(problem, config.Omega_D))
         tables[f"steady_NA{N_A}.csv"] = {
             "Omega_D": config.Omega_D, "rho_ee": rho_ee, "rho_eg_abs": rho_eg,
         }

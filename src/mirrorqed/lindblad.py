@@ -112,19 +112,74 @@ def _require_hermitian(M, what: str) -> None:
         raise NonHermitianError(f"{what} is not Hermitian")
 
 
+class _DrivenHeff:
+    """Heff + c(t) V + conj(c(t)) V+ as one CSR on the union of their patterns.
+
+    Only the entries that V or V+ store depend on t.  ``at(t)`` rewrites just
+    those, to a + c b + conj(c) d with a, b and d the values Heff, V and V+
+    store there, and only when t differs from its last call, so the RK4
+    stages that share a time share one rewrite.  Where |c| max|V| is at most
+    eps max|Heff| the drive lies below Heff's rounding, and ``at`` returns
+    Heff itself.
+    """
+
+    def __init__(self, Heff: sp.csr_matrix, fn, V: sp.csr_matrix):
+        d = Heff.shape[0]
+        Heff.sum_duplicates()  # sorted keys, one per entry; scipy's own ops already sort it
+        # the drive's (row, col) keys, and those Heff does not store
+        drive = [m.tocoo() for m in (V, V.conj().T)]
+        keys = [m.row.astype(np.int64) * d + m.col for m in drive]
+        h_keys = np.repeat(np.arange(d, dtype=np.int64) * d, np.diff(Heff.indptr))
+        h_keys += Heff.indices
+        d_keys = np.unique(np.concatenate(keys))
+        at_h = np.searchsorted(h_keys, d_keys)
+        stored = at_h < len(h_keys)
+        stored[stored] = h_keys[at_h[stored]] == d_keys[stored]
+        new = d_keys[~stored]
+        ins = np.searchsorted(h_keys, new)
+        del h_keys  # freed before the union's arrays, which set the build's memory peak
+        # Heff's pattern with the new keys inserted in place
+        indptr = Heff.indptr + np.searchsorted(new, np.arange(d + 1, dtype=np.int64) * d)
+        data = np.insert(Heff.data, ins, 0.0)
+        indices = np.insert(Heff.indices, ins, new % d)
+        self._op = sp.csr_matrix((data, indices, indptr), shape=Heff.shape)
+        self._pos = at_h + np.searchsorted(new, d_keys)  # into the union's entries
+        self._a, self._b, self._d = np.zeros((3, len(d_keys)), dtype=complex)
+        self._a[stored] = Heff.data[at_h[stored]]
+        for vals, k, m in zip((self._b, self._d), keys, drive):
+            np.add.at(vals, np.searchsorted(d_keys, k), m.data)
+        self._Heff, self._fn = Heff, fn
+        self._v_max = float(np.abs(V.data).max(initial=0.0))
+        self._floor = np.finfo(float).eps * float(np.abs(Heff.data).max(initial=0.0))
+        self._t, self._now = None, Heff
+
+    def at(self, t: float) -> sp.csr_matrix:
+        if t != self._t:
+            c = self._fn(t)
+            if abs(c) * self._v_max <= self._floor:
+                self._now = self._Heff
+            else:
+                self._op.data[self._pos] = self._a + c * self._b + np.conj(c) * self._d
+                self._now = self._op
+            self._t = t
+        return self._now
+
+
 @dataclass(frozen=True)
 class Liouvillian:
     """Lindblad generator of H, its jumps and an optional drive.
 
     Heff = H - (i/2) sum_k rate_k J_k+ J_k; jumps are the (CSR op, rate > 0)
-    pairs; drive, if any, is (coeff_fn, V, V+), adding c(t) V + conj(c(t)) V+
-    to H.  For Hermitian rho, L(rho) = -i(B - B+) + sum_k rate_k J_k rho J_k+
-    with B = Heff(t) rho, since rho Heff(t)+ = (Heff(t) rho)+.
+    pairs; drive, if any, adds c(t) V + conj(c(t)) V+ to H and holds
+    Heff(t) as one sparse operator whose drive entries follow t, so applying
+    Heff(t) is one sparse product at any t.  For Hermitian rho,
+    L(rho) = -i(B - B+) + sum_k rate_k J_k rho J_k+ with B = Heff(t) rho,
+    since rho Heff(t)+ = (Heff(t) rho)+.
     """
 
     Heff: sp.csr_matrix
     jumps: tuple
-    drive: tuple | None = None
+    drive: _DrivenHeff | None = None
 
     @property
     def nnz(self) -> int:
@@ -132,14 +187,11 @@ class Liouvillian:
         return self.Heff.nnz + sum(op.nnz for op, _ in self.jumps)
 
     def heff(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Heff(t) x = Heff x + c V x + conj(c) V+ x, summed in that order."""
-        out = self.Heff @ x
-        if self.drive is not None:
-            fn, V, Vd = self.drive
-            c = fn(t)
-            if c != 0.0:
-                out = out + c * (V @ x) + np.conj(c) * (Vd @ x)
-        return out
+        """Heff(t) x, with Heff(t) = Heff + c V + conj(c) V+, in one sparse product.
+
+        Where |c(t)| max|V| <= eps max|Heff| the product is Heff x alone.
+        """
+        return (self.Heff if self.drive is None else self.drive.at(t)) @ x
 
     def apply(self, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
         """L(rho) at time t, for Hermitian rho."""
@@ -164,10 +216,11 @@ def build_liouvillian(H, jumps=(), drive=None) -> Liouvillian:
     kept = tuple((as_csr(op), rate) for op, rate in jumps if rate > 0)
     for J, rate in kept:
         Heff = Heff - 0.5j * float(rate) * (J.conj().T @ J)
+    Heff = Heff.tocsr()
     if drive is not None:
         fn, op = drive
-        drive = (fn, as_csr(op), as_csr(op).conj().T.tocsr())
-    return Liouvillian(Heff.tocsr(), kept, drive)
+        drive = _DrivenHeff(Heff, fn, as_csr(op))
+    return Liouvillian(Heff, kept, drive)
 
 
 def expectation(op, rho: np.ndarray) -> complex:

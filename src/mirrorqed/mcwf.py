@@ -12,21 +12,24 @@ first, so the one pass of the shared path hands each jumping trajectory the
 path's state at the substep boundary before its first jump.
 
 From there the jumping trajectories advance together, in lock-step over the
-substep grid, as the columns of one dim x B block: each RK4 stage is one
-sparse product per operator for the whole block, and each drive coefficient
-is evaluated once per stage.  After each block step every column's norm^2 is
-tested against that column's own threshold; a column that crosses leaves the
-block for the substep, takes its jumps one vector at a time (bisection,
-channel choice, the rest of the substep) and rejoins.  Observables and
-boundary leakage are per-column reductions at the grid points.
+substep grid, as the columns of one dim x B block.  Each RK4 stage is one
+sparse product for the whole block: the generator holds Heff and the drive
+as one operator, whose drive entries are rewritten once per stage time.
+After each block step every column's norm^2 is tested against that column's
+own threshold; a column that crosses leaves the block for the substep, takes
+its jumps one vector at a time (bisection, channel choice, the rest of the
+substep) from the block's own step, and rejoins.  Observables and boundary
+leakage are per-column reductions at the grid points.
 
-Every per-column number is computed by the same scalar call on a contiguous
-copy of that column (``column_vdot``, ``np.linalg.norm``), and a sparse
-product acts on each column as on a lone vector, so a trajectory's jumps and
-observables are bitwise independent of its block-mates.  Each trajectory owns
-a counter-based Philox stream keyed by (seed, trajectory index), so the
-ensemble is bitwise reproducible regardless of scheduling.  Channel selection
-orders cumulative probabilities by jump index.
+Every per-column number, norms included, is one einsum over the block
+(``column_vdot``), and a vector is reduced as a one-column block, so the
+shared path, the block and the lone-vector jump steps decide jumps with the
+same arithmetic.  That reduction and a sparse product act on each column as
+on a lone vector, so a trajectory's jumps and observables are bitwise
+independent of its block-mates.  Each trajectory owns a counter-based Philox
+stream keyed by (seed, trajectory index), so the ensemble is bitwise
+reproducible regardless of scheduling.  Channel selection orders cumulative
+probabilities by jump index.
 """
 
 from __future__ import annotations
@@ -54,12 +57,20 @@ class TruncationWarning(UserWarning):
 def column_vdot(a: np.ndarray, b: np.ndarray):
     """<a_j|b_j> for each column of two dim x B blocks (a scalar for vectors).
 
-    Each value is np.vdot on contiguous copies of the two columns, so it is
-    bitwise the value of the lone vectors, whatever the block holds besides.
+    One einsum sums each column down its rows in one sequential pass, so a
+    column's value does not depend on what else the block holds; a vector is
+    summed as a one-column block.  (numpy sums a one-column block in buffer
+    chunks of 8192 rows, so at larger dims a column can differ from its value
+    in a wider block at rounding level; ``BLOCK_BYTES`` keeps blocks above
+    4096 rows one column wide.)
     """
     if a.ndim == 1:
-        return np.vdot(a, b)
-    return np.array([np.vdot(x, y) for x, y in zip(a.T.copy(), b.T.copy())])
+        return np.einsum("ij,ij->j", a.conj()[:, None], b[:, None])[0]
+    return np.einsum("ij,ij->j", a.conj(), b)
+
+
+def _norm2(psi: np.ndarray) -> float:
+    return float(column_vdot(psi, psi).real)
 
 
 @dataclass
@@ -72,15 +83,26 @@ class _Problem:
     h: float
     n_sub: int
 
-    def deriv(self, t: float, psi: np.ndarray) -> np.ndarray:
-        return -1j * self.L.heff(t, psi)
+    def rk4_step(self, t: float, psi: np.ndarray, h: float, k1=None) -> np.ndarray:
+        """psi advanced by h under psi' = -i Heff(t) psi; k1 is heff(t, psi) if given.
 
-    def rk4_step(self, t: float, psi: np.ndarray, h: float) -> np.ndarray:
-        k1 = self.deriv(t, psi)
-        k2 = self.deriv(t + 0.5 * h, psi + 0.5 * h * k1)
-        k3 = self.deriv(t + 0.5 * h, psi + 0.5 * h * k2)
-        k4 = self.deriv(t + h, psi + h * k3)
-        return psi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        -i is folded into the step hc = -i h, and the final combination
+        psi + (hc/6)(k1 + 2 k2 + 2 k3 + k4) is summed in that order, in place.
+        """
+        heff, hc = self.L.heff, -1j * h
+        if k1 is None:
+            k1 = heff(t, psi)
+        k2 = heff(t + 0.5 * h, psi + (0.5 * hc) * k1)
+        k3 = heff(t + 0.5 * h, psi + (0.5 * hc) * k2)
+        k4 = heff(t + h, psi + hc * k3)
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= hc / 6.0
+        k2 += psi
+        return k2
 
     def substep_time(self, s: int) -> float:
         m, r = divmod(s, self.n_sub)
@@ -88,7 +110,7 @@ class _Problem:
 
     def record(self, t: float, psi: np.ndarray):
         """(B x n_obs observables, B leakages) of the normalized columns of psi."""
-        nrm = np.array([np.linalg.norm(c) for c in psi.T.copy()])
+        nrm = np.sqrt(column_vdot(psi, psi).real)
         pn = psi / np.where(nrm > NORM_FLOOR, nrm, 1.0)
         obs = np.empty((psi.shape[1], len(self.e_ops)))
         for i, op in enumerate(self.e_ops.values()):
@@ -117,7 +139,7 @@ def _reference_path(prob: _Problem, psi0: np.ndarray, r: list):
         t = float(prob.t_grid[m])
         for k in range(prob.n_sub):
             psi_next = prob.rk4_step(t + k * prob.h, psi, prob.h)
-            n2 = float(np.vdot(psi_next, psi_next).real)
+            n2 = _norm2(psi_next)
             while waiting and n2 < r[waiting[-1]]:
                 joins[waiting.pop()] = (s, psi)
             psi = psi_next
@@ -129,12 +151,16 @@ def _reference_path(prob: _Problem, psi0: np.ndarray, r: list):
 
 
 def _locate_jump(prob: _Problem, psi0: np.ndarray, t0: float, h: float, r: float, psi_hi):
-    """Bisect the norm^2 = r crossing inside (t0, t0 + h]; psi_hi = rk4_step(t0, psi0, h)."""
+    """Bisect the norm^2 = r crossing inside (t0, t0 + h]; psi_hi = rk4_step(t0, psi0, h).
+
+    Every trial step starts from psi0 at t0, so they share one k1.
+    """
+    k1 = prob.L.heff(t0, psi0)
     lo, hi = 0.0, h
     while hi - lo > JUMP_TIME_TOL and hi > 1e-15:
         mid = 0.5 * (lo + hi)
-        psi_mid = prob.rk4_step(t0, psi0, mid)
-        if float(np.vdot(psi_mid, psi_mid).real) < r:
+        psi_mid = prob.rk4_step(t0, psi0, mid, k1)
+        if _norm2(psi_mid) < r:
             hi, psi_hi = mid, psi_mid
         else:
             lo = mid
@@ -144,31 +170,32 @@ def _locate_jump(prob: _Problem, psi0: np.ndarray, t0: float, h: float, r: float
 def _apply_jump(prob: _Problem, psi: np.ndarray, rng) -> np.ndarray:
     """Select a channel by relative weight (cumulative, jump-index order)."""
     post = [J @ psi for J in prob.jump_ops]
-    weights = np.array([float(np.vdot(p, p).real) for p in post])
+    weights = np.array([_norm2(p) for p in post])
     total = weights.sum()
     if total <= 0.0:
-        return psi / np.linalg.norm(psi)
+        return psi / np.sqrt(_norm2(psi))
     k = int(np.searchsorted(np.cumsum(weights), rng.random() * total))
     k = min(k, len(post) - 1)
-    return post[k] / np.linalg.norm(post[k])
+    return post[k] / np.sqrt(weights[k])
 
 
-def _advance(prob: _Problem, psi: np.ndarray, t0: float, t1: float, r: float, rng):
-    """Propagate t0 -> t1 (at most one substep), taking any jumps inside."""
+def _advance(prob: _Problem, psi: np.ndarray, psi_next, t0: float, t1: float, r: float, rng):
+    """Propagate t0 -> t1 (at most one substep), taking any jumps inside.
+
+    psi_next is psi stepped to t1, rk4_step(t0, psi, t1 - t0).
+    """
     jumps = 0
-    while True:
-        h = t1 - t0
-        if h <= 1e-15:
-            return psi, r, jumps
-        psi_next = prob.rk4_step(t0, psi, h)
-        if float(np.vdot(psi_next, psi_next).real) >= r:
-            return psi_next, r, jumps
-        t0, psi_at = _locate_jump(prob, psi, t0, h, r, psi_next)
+    while _norm2(psi_next) < r:
+        t0, psi_at = _locate_jump(prob, psi, t0, t1 - t0, r, psi_next)
         psi = _apply_jump(prob, psi_at, rng)
         r = rng.random()
         jumps += 1
         if jumps > MAX_JUMPS_PER_SUBSTEP:
             raise RuntimeError("jump rate pathologically high; reduce the substep")
+        if t1 - t0 <= 1e-15:
+            return psi, r, jumps
+        psi_next = prob.rk4_step(t0, psi, t1 - t0)
+    return psi_next, r, jumps
 
 
 def _run_block(prob: _Problem, s0, states, r, rngs, ref_obs, ref_leak):
@@ -202,7 +229,9 @@ def _run_block(prob: _Problem, s0, states, r, rngs, ref_obs, ref_leak):
         crossed = np.flatnonzero(column_vdot(psi_next, psi_next).real < r[cols])
         for c in crossed:
             j = cols[c]
-            psi_next[:, c], r[j], k = _advance(prob, psi[:, c].copy(), t0, t1, r[j], rngs[j])
+            psi_next[:, c], r[j], k = _advance(
+                prob, psi[:, c].copy(), psi_next[:, c].copy(), t0, t1, r[j], rngs[j]
+            )
             jumps[j] += k
         psi = psi_next
         if s % prob.n_sub == 0:
@@ -282,8 +311,9 @@ def mcwf_evolve(
     n_cached = n_traj - len(jumping)
 
     # blocks of consecutive jumping trajectories, summed in trajectory order
-    obs_sum = np.zeros((n_grid, n_obs))
-    obs_sumsq = np.zeros((n_grid, n_obs))
+    # as deviations from the shared path, which the others follow exactly
+    dev_sum = np.zeros((n_grid, n_obs))
+    dev_sumsq = np.zeros((n_grid, n_obs))
     total_jumps = 0
     peaks = [float(np.max(ref_leak))] * n_cached
     width = max(1, BLOCK_BYTES // (16 * len(psi0)))
@@ -292,16 +322,14 @@ def mcwf_evolve(
         obs, leak, jumps = _run_block(prob, s0, states, rs, block_rngs, ref_obs, ref_leak)
         total_jumps += int(jumps.sum())
         peaks.extend(leak.max(axis=1))
-        for obs_traj in obs:
-            obs_sum += obs_traj
-            obs_sumsq += obs_traj**2
+        for dev in obs - ref_obs:
+            dev_sum += dev
+            dev_sumsq += dev**2
 
-    obs_sum += n_cached * ref_obs
-    obs_sumsq += n_cached * ref_obs**2
-
-    mean = obs_sum / n_traj
+    dev_mean = dev_sum / n_traj
+    mean = ref_obs + dev_mean
     if n_traj > 1:
-        var = np.maximum(obs_sumsq - n_traj * mean**2, 0.0) / (n_traj - 1)
+        var = np.maximum(dev_sumsq - n_traj * dev_mean**2, 0.0) / (n_traj - 1)
         stderr = np.sqrt(var / n_traj)
     else:
         stderr = np.zeros_like(mean)

@@ -30,6 +30,7 @@ from mirrorqed.model import (
     params_from_dimensionless,
     snap_block_length,
 )
+from mirrorqed.scattering import PulseSpec, build_drive_term
 
 
 def _rand_herm(rng, d):
@@ -299,3 +300,82 @@ def test_time_dependent_drive_term():
     res = integrate_me(L_driven, rho0, t, rtol=1e-10, atol=1e-12)
     diff = max(np.max(np.abs(a - b)) for a, b in zip(ref.states, res.states))
     assert diff < 1e-7
+
+
+def _criterion_9_generator():
+    """The criterion-9 pulse on its model (dim 343): (L, Heff, V, coeff, pulse)."""
+    p = params_from_dimensionless(4.0, math.pi / 2)
+    m = build_effective_model(p, snap_block_length(p, 2.0), 2)
+    space = space_for_model(m, n_max=3, max_excitations=5)
+    drive = DriveDissipationSpec(gamma=m.gamma)
+    spec = PulseSpec(W=2.5 * p.Gamma, t0=2.0 / p.Gamma, n_ph=0.5)
+    coeff, V = build_drive_term(m, spec, space)
+    L = build_liouvillian(
+        build_hamiltonian(m, drive, space), build_jump_ops(m, drive, space), (coeff, V)
+    )
+    return L, L.Heff, V, coeff, spec, space
+
+
+def _heff_reference(Heff, V, c, x):
+    return Heff @ x + c * (V @ x) + np.conj(c) * (V.conj().T @ x)
+
+
+def test_stage_operator_is_heff_plus_the_drive_pair():
+    L, Heff, V, coeff, spec, space = _criterion_9_generator()
+    rng = np.random.default_rng(7)
+    block = rng.normal(size=(space.dim, 5)) + 1j * rng.normal(size=(space.dim, 5))
+    for t in (spec.t0, spec.t0 + 0.3 / spec.W):  # the peak, and beside it
+        c = coeff(t)
+        assert abs(c) > 0.1
+        for x in (block[:, 0].copy(), block):
+            ref = _heff_reference(Heff, V, c, x)
+            assert np.max(np.abs(L.heff(t, x) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_stage_operator_follows_every_change_of_time():
+    # the drive entries are rewritten only when t changes: t1, t2, t1 again
+    L, Heff, V, coeff, spec, space = _criterion_9_generator()
+    x = np.random.default_rng(8).normal(size=space.dim).astype(complex)
+    t1, t2 = spec.t0, spec.t0 + 1.0 / spec.W
+    first = L.heff(t1, x)
+    for t, again in ((t1, first), (t2, None), (t1, first)):
+        ref = _heff_reference(Heff, V, coeff(t), x)
+        out = L.heff(t, x)
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+        if again is not None:
+            assert out.tobytes() == again.tobytes()
+    assert np.max(np.abs(L.heff(t2, x) - first)) > 0.1
+
+
+def test_drive_below_the_floor_leaves_heff_alone():
+    # far in the pulse's tail c is not 0, yet |c| max|V| <= eps max|Heff|:
+    # Heff(t) x is Heff x bit for bit, also where Heff x is exactly 0 (the
+    # vacuum, which Heff leaves alone and V would excite)
+    L, Heff, V, coeff, spec, space = _criterion_9_generator()
+    t = spec.t0 + 14.0 / spec.W  # 7.6 / Gamma on the 12 / Gamma grid
+    c = coeff(t)
+    assert c != 0.0
+    assert abs(c) * np.abs(V.data).max() <= np.finfo(float).eps * np.abs(Heff.data).max()
+    vac = space.vacuum().astype(complex)
+    assert not np.any(Heff @ vac)
+    block = np.random.default_rng(9).normal(size=(space.dim, 3)).astype(complex)
+    for x in (vac, block):
+        assert L.heff(t, x).tobytes() == (Heff @ x).tobytes()
+
+
+def test_stage_operator_where_heff_and_the_drive_share_entries():
+    # a random Hermitian H and loss whose pattern overlaps the drive's
+    rng = np.random.default_rng(10)
+    d = 30
+    A = sp.random(d, d, density=0.2, random_state=rng) * (1 + 0.5j)
+    V = sp.random(d, d, density=0.15, random_state=rng) * (1 - 2j)
+    J = sp.random(d, d, density=0.1, random_state=rng)
+
+    def coeff(t):
+        return 0.7 - 0.2j * t
+
+    L = build_liouvillian(A + A.conj().T, [(J, 0.3)], (coeff, V))
+    x = rng.normal(size=(d, 4)) + 1j * rng.normal(size=(d, 4))
+    for t in (0.5, 1.3, 0.5):
+        ref = _heff_reference(L.Heff, as_csr(V), coeff(t), x)
+        assert np.max(np.abs(L.heff(t, x) - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from mirrorqed import mcwf
-from mirrorqed.hilbert import CompositeSpace, sigma_minus, sigma_plus, sigma_x
+from mirrorqed.hilbert import CompositeSpace, as_csr, sigma_minus, sigma_plus, sigma_x
 from mirrorqed.lindblad import (
     DriveDissipationSpec,
     NonHermitianError,
@@ -310,6 +310,21 @@ def test_seeded_jump_counts_are_pinned(problem, seed, jumping, jumps):
     # the block engine takes the same jumps on the same streams
     meta = mcwf_evolve(**problem(seed)).meta
     assert (meta["n_jumping_trajectories"], meta["total_jumps"]) == (jumping, jumps)
+
+
+@pytest.mark.filterwarnings("ignore::mirrorqed.mcwf.TruncationWarning")
+@pytest.mark.parametrize("problem", [_driven_problem, _pulse_problem])
+def test_statistics_are_exact_where_the_trajectories_agree(problem):
+    # at t0 every trajectory is psi0: each mean is psi0's value and each
+    # standard error 0, exactly, without the residue of sum x^2 - n mean^2
+    kwargs = problem(seed=5)
+    res = mcwf_evolve(**kwargs)
+    assert res.meta["n_jumping_trajectories"] > 0
+    t0, psi0 = float(kwargs["t_grid"][0]), kwargs["psi0"][:, None]
+    for name, op in kwargs["e_ops"].items():
+        value = op(t0, psi0) if callable(op) else mcwf.column_vdot(psi0, as_csr(op) @ psi0).real
+        assert res.observables[name][0] == value[0]
+        assert res.stderr[name][0] == 0.0
 
 
 @pytest.mark.filterwarnings("ignore::mirrorqed.mcwf.TruncationWarning")
