@@ -533,6 +533,7 @@ def run_scattering(config: ExperimentConfig) -> tuple:
             "N_A": N_A, "n_max": n_max, "max_excitations": cap, "dim": space.dim,
         },
         "mcwf": {k: v for k, v in res.meta.items() if isinstance(v, (int, float))},
+        "generator": res.meta["generator"],
     }
     return {"scattering.csv": table}, extra
 

@@ -12,9 +12,12 @@ first, so the one pass of the shared path hands each jumping trajectory the
 path's state at the substep boundary before its first jump.
 
 From there the jumping trajectories advance together, in lock-step over the
-substep grid, as the columns of one dim x B block.  Each RK4 stage is one
-sparse product for the whole block: the generator holds Heff and the drive
-as one operator, whose drive entries are rewritten once per stage time.
+substep grid, as the columns of one dim x B block.  Each RK4 stage applies
+Heff(t) to the whole block at once.  Where the generator holds Heff fused,
+that is one sparse product on an operator whose drive entries are rewritten
+once per stage time; where it holds Heff factored (large truncations, where
+the collective loss fills Heff), one product per term: H, each jump and its
+adjoint, and the drive pair.
 After each block step every column's norm^2 is tested against that column's
 own threshold; a column that crosses leaves the block for the substep, takes
 its jumps one vector at a time (bisection, channel choice, the rest of the
@@ -24,12 +27,12 @@ leakage are per-column reductions at the grid points.
 Every per-column number, norms included, is one einsum over the block
 (``column_vdot``), and a vector is reduced as a one-column block, so the
 shared path, the block and the lone-vector jump steps decide jumps with the
-same arithmetic.  That reduction and a sparse product act on each column as
-on a lone vector, so a trajectory's jumps and observables are bitwise
-independent of its block-mates.  Each trajectory owns a counter-based Philox
-stream keyed by (seed, trajectory index), so the ensemble is bitwise
-reproducible regardless of scheduling.  Channel selection orders cumulative
-probabilities by jump index.
+same arithmetic.  That reduction, every sparse product and every
+elementwise step act on each column as on a lone vector, so a trajectory's
+jumps and observables are bitwise independent of its block-mates.  Each
+trajectory owns a counter-based Philox stream keyed by (seed, trajectory
+index), so the ensemble is bitwise reproducible regardless of scheduling.
+Channel selection orders cumulative probabilities by jump index.
 """
 
 from __future__ import annotations
@@ -218,7 +221,7 @@ def _run_block(prob: _Problem, s0, states, r, rngs, ref_obs, ref_leak):
     jumps = np.zeros(len(s0), dtype=int)
     joining = dict(zip(s0, states))
     cols = np.empty(0, dtype=int)  # trajectory of each block column
-    psi = np.empty((prob.L.Heff.shape[0], 0), dtype=complex)
+    psi = np.empty((len(states[0]), 0), dtype=complex)
     for s in range(min(s0) + 1, (n_grid - 1) * prob.n_sub + 1):
         if s - 1 in joining:
             new = [j for j, sj in enumerate(s0) if sj == s - 1]
@@ -357,5 +360,6 @@ def mcwf_evolve(
             "total_jumps": total_jumps,
             "max_leakage": max_leak,
             "mean_leakage": float(np.mean(peaks)),
+            "generator": {"form": L.form.name, "nnz": L.nnz},
         },
     )

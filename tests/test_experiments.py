@@ -412,6 +412,19 @@ def test_decay_runs_record_their_delay_grids(tmp_path):
     assert prov["config"]["model"]["N_A"] == [7]
 
 
+@pytest.mark.parametrize(
+    "N_A, cap, form, nnz", [(2, 5, "fused", 5656), (7, 3, "factored", 9550)]
+)
+def test_scattering_records_its_generator(tmp_path, N_A, cap, form, nnz):
+    # the criterion-9 truncation keeps Heff fused (Heff 4801 + A 855 entries);
+    # at N_A 7, cap 3 the loss is factored (H 4990 + A and A+ 2280 each)
+    _run(tmp_path, experiment="scattering", Gamma_tau=4.0, N_A=[N_A], n_max=3,
+         max_excitations=cap, t_max=1.0, dt=0.05, n_traj=2, substeps=2)
+    prov = json.loads((tmp_path / "provenance.json").read_text())
+    assert prov["generator"] == {"form": form, "nnz": nnz}
+    assert prov["truncation"]["dim"] == {2: 343, 7: 952}[N_A]
+
+
 def test_chain_emission_records_its_propagator(tmp_path):
     _run(tmp_path, experiment="emission", backend="chain", Gamma_tau=2.0,
          phi=math.pi / 2, t_max=2.0, dt=0.05, sites_per_delay=10)

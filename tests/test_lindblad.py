@@ -9,11 +9,13 @@ from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirrorqed import lindblad
 from mirrorqed.hilbert import as_csr, sigma_minus, sigma_plus, sigma_x
 from mirrorqed.lindblad import (
     DriveDissipationSpec,
     NonHermitianError,
     NonUniqueSteadyStateError,
+    StepSizeUnderflowError,
     TRACE_NULL_TOL,
     build_hamiltonian,
     build_jump_ops,
@@ -103,6 +105,16 @@ def test_qubit_decay_analytic():
     res = integrate_me(L, rho0, t, e_ops={"p": np.diag([0.0, 1.0])})
     assert np.allclose(res.observables["p"], np.exp(-t), atol=1e-7)
     assert np.max(res.observables["trace_residual"]) < 1e-8
+
+
+def test_integrator_failure_raises_step_size_underflow():
+    # a drive that diverges at t = 1 turns the state infinitely often before
+    # it: RK45 cannot step past it
+    drive = (lambda t: 1.0 / (1.0 - t), sigma_plus())
+    L = build_liouvillian(np.zeros((2, 2)), [(sigma_minus(), 1.0)], drive)
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(StepSizeUnderflowError, match="step size"):
+        integrate_me(L, rho0, np.linspace(0.0, 2.0, 5))
 
 
 def test_expm_and_rk45_agree():
@@ -302,17 +314,22 @@ def test_time_dependent_drive_term():
     assert diff < 1e-7
 
 
-def _criterion_9_generator():
-    """The criterion-9 pulse on its model (dim 343): (L, Heff, V, coeff, pulse)."""
+def _pulse_generator_parts(N_A, cap):
+    """(H, jumps, drive, pulse, space) of the criterion-9 pulse at truncation (N_A, cap)."""
     p = params_from_dimensionless(4.0, math.pi / 2)
-    m = build_effective_model(p, snap_block_length(p, 2.0), 2)
-    space = space_for_model(m, n_max=3, max_excitations=5)
+    m = build_effective_model(p, snap_block_length(p, 2.0), N_A)
+    space = space_for_model(m, n_max=3, max_excitations=cap)
     drive = DriveDissipationSpec(gamma=m.gamma)
     spec = PulseSpec(W=2.5 * p.Gamma, t0=2.0 / p.Gamma, n_ph=0.5)
-    coeff, V = build_drive_term(m, spec, space)
-    L = build_liouvillian(
-        build_hamiltonian(m, drive, space), build_jump_ops(m, drive, space), (coeff, V)
-    )
+    H = build_hamiltonian(m, drive, space)
+    jumps = build_jump_ops(m, drive, space)
+    return H, jumps, build_drive_term(m, spec, space), spec, space
+
+
+def _criterion_9_generator():
+    """The criterion-9 pulse on its model (dim 343): (L, Heff, V, coeff, pulse)."""
+    H, jumps, (coeff, V), spec, space = _pulse_generator_parts(2, 5)
+    L = build_liouvillian(H, jumps, (coeff, V))
     return L, L.Heff, V, coeff, spec, space
 
 
@@ -379,3 +396,55 @@ def test_stage_operator_where_heff_and_the_drive_share_entries():
     for t in (0.5, 1.3, 0.5):
         ref = _heff_reference(L.Heff, as_csr(V), coeff(t), x)
         assert np.max(np.abs(L.heff(t, x) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_heff_form_is_chosen_by_stored_entries():
+    # at the criterion-9 truncation (dim 343) one product on Heff and the
+    # drive is cheaper; at N_A 7, cap 3 (dim 952) the loss's mode pairs make
+    # Heff store 36,950 entries against H's 4,990 and A's 2,280
+    H, jumps, drive, _, _ = _pulse_generator_parts(2, 5)
+    (J, _), = jumps
+    L = build_liouvillian(H, jumps, drive)
+    assert L.form.name == "fused"
+    assert L.nnz == L.Heff.nnz + J.nnz == 5656
+    H, jumps, drive, _, _ = _pulse_generator_parts(7, 3)
+    (J, _), = jumps
+    L = build_liouvillian(H, jumps, drive)
+    assert L.form.name == "factored"
+    assert L.nnz == H.nnz + 2 * J.nnz == 9550  # H, J and the scaled J+
+    assert L.Heff.nnz == 36950
+
+
+@pytest.mark.parametrize("case", ["drive on", "drive below the floor", "no drive"])
+def test_factored_heff_agrees_with_the_fused_one(monkeypatch, case):
+    # N_A 7, cap 3 (dim 952) takes the factored form; a prohibitive charge
+    # per product forces the same generator fused
+    H, jumps, drive, spec, _ = _pulse_generator_parts(7, 3)
+    coeff, V = drive
+    t = spec.t0 + (14.0 / spec.W if case == "drive below the floor" else 0.0)
+    drive = None if case == "no drive" else drive
+    factored = build_liouvillian(H, jumps, drive)
+    monkeypatch.setattr(lindblad, "PRODUCT_CHARGE", 10**9)
+    fused = build_liouvillian(H, jumps, drive)
+    assert (factored.form.name, fused.form.name) == ("factored", "fused")
+    assert _same_csr(factored.Heff, fused.Heff)
+    floor = np.finfo(float).eps * np.abs(fused.Heff.data).max()
+    if case == "drive on":
+        assert abs(coeff(t)) * np.abs(V.data).max() > 0.1
+    elif case == "drive below the floor":
+        assert 0.0 < abs(coeff(t)) * np.abs(V.data).max() <= floor
+    rng = np.random.default_rng(12)
+    d = H.shape[0]
+    block = rng.normal(size=(d, 5)) + 1j * rng.normal(size=(d, 5))
+    for x in (block[:, 0].copy(), block):
+        ref = fused.heff(t, x)
+        assert np.max(np.abs(factored.heff(t, x) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = (M + M.conj().T) / (2 * d)
+    ref = fused.apply(rho, t)
+    assert np.max(np.abs(factored.apply(rho, t) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    if case == "drive below the floor":
+        # the drive's products are skipped, not added as rounding
+        monkeypatch.undo()
+        undriven = build_liouvillian(H, jumps)
+        assert factored.heff(t, block).tobytes() == undriven.heff(t, block).tobytes()

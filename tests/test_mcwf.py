@@ -259,11 +259,11 @@ def _driven_problem(seed):
     )
 
 
-def _pulse_problem(seed):
+def _pulse_problem(seed, N_A=1, n_max=2):
     """A Gaussian pulse on a small scattering model: a drive, callable e_ops."""
     params = params_from_dimensionless(1.0, math.pi / 2)
-    model = build_effective_model(params, snap_block_length(params, 2.0), 1)
-    space = space_for_model(model, n_max=2, max_excitations=3)
+    model = build_effective_model(params, snap_block_length(params, 2.0), N_A)
+    space = space_for_model(model, n_max=n_max, max_excitations=3)
     spec = PulseSpec(W=2.5 * params.Gamma, t0=2.0 / params.Gamma, n_ph=0.5)
     drive = DriveDissipationSpec(gamma=model.gamma)
     e_ops = make_output_e_ops(space, model, spec)
@@ -283,14 +283,27 @@ def _pulse_problem(seed):
     )
 
 
+def _wide_pulse_problem(seed):
+    """The pulse problem at N_A 7, cap 3 (dim 952), whose Heff is factored.
+
+    Heff's largest |eigenvalue| is 64.5 Gamma (three photons in the outer
+    modes, 22 Gamma off the atom); RK4 is stable up to h rho = 2.8, so it
+    takes 4 substeps of 0.025 / Gamma.
+    """
+    return {**_pulse_problem(seed, N_A=7, n_max=3), "substeps": 4}
+
+
 @pytest.mark.filterwarnings("ignore::mirrorqed.mcwf.TruncationWarning")
-@pytest.mark.parametrize("problem", [_driven_problem, _pulse_problem])
+@pytest.mark.parametrize("problem", [_driven_problem, _pulse_problem, _wide_pulse_problem])
 @pytest.mark.parametrize("width", [1, 5])
 def test_trajectory_is_bitwise_independent_of_its_block_mates(monkeypatch, problem, width):
     # every jumping trajectory in one block, against blocks of `width`
-    # columns: the same jumps and the same observables, bit for bit
+    # columns: the same jumps and the same observables, bit for bit, on
+    # either form of Heff(t)
     kwargs = problem(seed=3)
     whole = mcwf_evolve(**kwargs)
+    form = "factored" if problem is _wide_pulse_problem else "fused"
+    assert whole.meta["generator"]["form"] == form
     monkeypatch.setattr(mcwf, "BLOCK_BYTES", width * 16 * len(kwargs["psi0"]))
     split = mcwf_evolve(**kwargs)
     assert whole.meta["n_jumping_trajectories"] > 2 * width
