@@ -158,6 +158,7 @@ class ExperimentConfig:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"field '{path}': {exc}") from exc
             setattr(self, name, value)
+        steps = self.t_max / self.dt if self.dt > 0 else 0.0
         checks = [
             (self.backend in BACKENDS[exp], "backend",
              f"{self.backend!r} not in {BACKENDS[exp]} for {exp}"),
@@ -167,10 +168,15 @@ class ExperimentConfig:
              "purcell needs Gamma_tau < 0.1"),
             (self.dt > 0, "dt", "must be positive"),
             (self.t_max > 0, "t_max", "must be positive"),
+            # the output grid's step is dt itself
+            (exp not in ("emission", "convergence", "scattering")
+             or steps > 0.5 and min(steps % 1, -steps % 1) <= 1e-9,
+             "dt", f"must divide solver.t_max = {self.t_max} into whole steps"),
             (exp not in ("emission", "convergence") or self.t_max >= self.Gamma_tau,
              "t_max", "the delay-equation reference needs at least one delay, "
              f"physical.Gamma_tau = {self.Gamma_tau}"),
             (self.n_traj >= 1, "n_traj", "must be >= 1"),
+            (0 <= self.seed < 2**64, "seed", "must be in [0, 2**64)"),
             (self.substeps >= 1, "substeps", "must be >= 1"),
             (self.sites_per_delay >= 2, "sites_per_delay", "must be >= 2"),
             (all(n >= 0 for n in self.N_A), "N_A", "entries must be non-negative"),
@@ -304,10 +310,14 @@ def _solve_dde(Gamma_tau, phi, t_max, steps_per_delay):
     return dde, grid
 
 
+def _output_grid(config: ExperimentConfig) -> np.ndarray:
+    """0, dt, ..., t_max in units of 1/Gamma; the config check makes dt divide t_max."""
+    return np.linspace(0.0, config.t_max, int(round(config.t_max / config.dt)) + 1)
+
+
 def _dde_on_grid(config: ExperimentConfig):
     """(output grid, exact population on it, provenance entry of the solve)."""
-    n_pts = int(round(config.t_max / config.dt)) + 1
-    t = np.linspace(0.0, config.t_max, n_pts)  # units of 1/Gamma
+    t = _output_grid(config)
     dde, grid = _solve_dde(config.Gamma_tau, config.phi, float(t[-1]), 2000)
     return t, np.interp(t, dde.t, dde.population), {"dde_solver": [grid]}
 
@@ -488,8 +498,7 @@ def run_scattering(config: ExperimentConfig) -> tuple:
     )
     coeff, Adag = build_drive_term(model, spec, space)
     psi0 = space.vacuum()
-    n_pts = int(round(config.t_max / config.dt)) + 1
-    t = np.linspace(0.0, config.t_max, n_pts) / G
+    t = _output_grid(config) / G
     e_ops = make_output_e_ops(space, model, spec)
     e_ops["excitation"] = total_excitation_op(space)
     res = mcwf_evolve(

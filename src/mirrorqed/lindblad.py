@@ -3,7 +3,9 @@
 The Lindblad generator acts on the d x d density matrix itself, through the
 sparse effective Hamiltonian and jump operators (``Liouvillian``); the
 d^2 x d^2 superoperator is never formed, neither for time evolution nor for
-steady states.
+steady states.  A coherent drive is one ``_Drive``, which holds c(t), V and
+V+ and the floor below which it is left out; the generator is one subclass
+per form of Heff(t) x, fused (one product) or factored (one per term).
 """
 
 from __future__ import annotations
@@ -112,128 +114,135 @@ def _require_hermitian(M, what: str) -> None:
         raise NonHermitianError(f"{what} is not Hermitian")
 
 
-def _drive_floor(Heff: sp.csr_matrix) -> float:
-    """eps max|Heff|: a drive with |c| max|V| at most this is below Heff's rounding."""
-    return np.finfo(float).eps * float(np.abs(Heff.data).max(initial=0.0))
+class _Drive:
+    """The coherent input c(t) V + conj(c(t)) V+ on the channel block A leaks into.
 
-
-class _DrivenHeff:
-    """The fused form's Heff + c(t) V + conj(c(t)) V+, one CSR on the union
-    of their patterns.
-
-    Only the entries that V or V+ store depend on t.  ``at(t)`` rewrites just
-    those, to a + c b + conj(c) d with a, b and d the values Heff, V and V+
-    store there, and only when t differs from its last call, so the RK4
-    stages that share a time share one rewrite.  Where |c| max|V| is at most
-    eps max|Heff| the drive lies below Heff's rounding, and ``at`` returns
-    Heff itself.
+    ``at(t)`` is c(t), computed once per distinct t, so the RK4 stages that
+    share a time share one call; it is None where |c| max|V| <= eps max|Heff|,
+    where the drive lies below Heff's rounding and is left out.
     """
 
-    def __init__(self, Heff: sp.csr_matrix, fn, V: sp.csr_matrix):
-        d = Heff.shape[0]
-        Heff.sum_duplicates()  # sorted keys, one per entry; scipy's own ops already sort it
-        # the drive's (row, col) keys, and those Heff does not store
-        drive = [m.tocoo() for m in (V, V.conj().T)]
-        keys = [m.row.astype(np.int64) * d + m.col for m in drive]
-        h_keys = np.repeat(np.arange(d, dtype=np.int64) * d, np.diff(Heff.indptr))
-        h_keys += Heff.indices
-        d_keys = np.unique(np.concatenate(keys))
-        at_h = np.searchsorted(h_keys, d_keys)
-        stored = at_h < len(h_keys)
-        stored[stored] = h_keys[at_h[stored]] == d_keys[stored]
-        new = d_keys[~stored]
-        ins = np.searchsorted(h_keys, new)
-        del h_keys  # freed before the union's arrays, which set the build's memory peak
-        # Heff's pattern with the new keys inserted in place
-        indptr = Heff.indptr + np.searchsorted(new, np.arange(d + 1, dtype=np.int64) * d)
-        data = np.insert(Heff.data, ins, 0.0)
-        indices = np.insert(Heff.indices, ins, new % d)
-        self._op = sp.csr_matrix((data, indices, indptr), shape=Heff.shape)
-        self._pos = at_h + np.searchsorted(new, d_keys)  # into the union's entries
-        self._a, self._b, self._d = np.zeros((3, len(d_keys)), dtype=complex)
-        self._a[stored] = Heff.data[at_h[stored]]
-        for vals, k, m in zip((self._b, self._d), keys, drive):
-            np.add.at(vals, np.searchsorted(d_keys, k), m.data)
-        self._Heff, self._fn = Heff, fn
+    def __init__(self, fn, V: sp.csr_matrix, Heff: sp.csr_matrix):
+        self.fn, self.V, self.Vd = fn, V, V.conj().T.tocsr()
         self._v_max = float(np.abs(V.data).max(initial=0.0))
-        self._floor = _drive_floor(Heff)
-        self._t, self._now = None, Heff
+        self._floor = np.finfo(float).eps * float(np.abs(Heff.data).max(initial=0.0))
+        self._t, self._c = None, None
 
-    def at(self, t: float) -> sp.csr_matrix:
+    def at(self, t: float):
         if t != self._t:
-            c = self._fn(t)
-            if abs(c) * self._v_max <= self._floor:
-                self._now = self._Heff
-            else:
-                self._op.data[self._pos] = self._a + c * self._b + np.conj(c) * self._d
-                self._now = self._op
-            self._t = t
-        return self._now
+            c = self.fn(t)
+            self._t, self._c = t, None if abs(c) * self._v_max <= self._floor else c
+        return self._c
 
 
-class _FusedHeff:
-    """Heff(t) x as one sparse product: Heff, or with a drive the union CSR
-    of ``_DrivenHeff``."""
+class Liouvillian:
+    """Lindblad generator of H, its jumps and an optional drive.
 
-    name = "fused"
+    Heff = H - (i/2) sum_k rate_k J_k+ J_k; jumps are the (CSR op, rate > 0)
+    pairs; the drive, if any, adds c(t) V + conj(c(t)) V+ to H.  A subclass
+    per ``form``, which ``build_liouvillian`` chooses, gives ``heff(t, x)``,
+    Heff(t) x for a vector, a dim x B block or a d x d matrix (the drive left
+    out below its floor), the drive-free ``Heff`` as one CSR, and ``nnz``,
+    the entries its operators and the jumps store.  For Hermitian rho,
+    L(rho) = -i(B - B+) + sum_k rate_k J_k rho J_k+ with B = Heff(t) rho,
+    since rho Heff(t)+ = (Heff(t) rho)+.
+    """
 
-    def __init__(self, Heff: sp.csr_matrix, drive):
+    form: str
+
+    def __init__(self, jumps: tuple, drive: _Drive | None):
+        self.jumps, self._drive = jumps, drive
+
+    def apply(self, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
+        """L(rho) at time t, for Hermitian rho."""
+        B = self.heff(t, rho)
+        out = -1j * (B - B.conj().T)
+        for op, rate in self.jumps:
+            # J rho J+ = J (J rho)+ for Hermitian rho
+            out += rate * (op @ (op @ rho).conj().T)
+        return out
+
+
+class _Fused(Liouvillian):
+    """Heff(t) x as one sparse product: Heff, or with a drive one CSR on the
+    union of the Heff, V and V+ patterns.
+
+    Only the union's entries where V or V+ store depend on t; they are
+    rewritten to a + c b + conj(c) d, with a, b and d the values Heff, V and
+    V+ store there, whenever c(t) changes.
+    """
+
+    form = "fused"
+
+    def __init__(self, Heff: sp.csr_matrix, jumps: tuple, drive: _Drive | None):
+        super().__init__(jumps, drive)
         self.Heff = Heff
-        self._drive = None if drive is None else _DrivenHeff(Heff, *drive)
+        if drive is None:
+            return
+        d = Heff.shape[0]
+        h, v, vd = Heff.tocoo(), drive.V.tocoo(), drive.Vd.tocoo()
+        # COO -> CSR sums the duplicate keys and keeps the drive's explicit zeros
+        data = np.concatenate([h.data, np.zeros(v.nnz + vd.nnz, dtype=complex)])
+        rows, cols = (np.concatenate([getattr(m, a) for m in (h, v, vd)]) for a in ("row", "col"))
+        self._op = sp.csr_matrix((data, (rows, cols)), shape=Heff.shape)
+        keys = [m.row.astype(np.int64) * d + m.col for m in (v, vd)]
+        d_keys = np.unique(np.concatenate(keys))
+        u_keys = np.repeat(np.arange(d, dtype=np.int64) * d, np.diff(self._op.indptr))
+        self._pos = np.searchsorted(u_keys + self._op.indices, d_keys)
+        self._a = self._op.data[self._pos]  # Heff's values there, or 0
+        self._b, self._d = np.zeros((2, len(d_keys)), dtype=complex)
+        for vals, k, m in zip((self._b, self._d), keys, (v, vd)):
+            np.add.at(vals, np.searchsorted(d_keys, k), m.data)
+        self._c = None  # the c the union's drive entries hold
 
     @property
     def nnz(self) -> int:
-        return self.Heff.nnz
+        return self.Heff.nnz + sum(op.nnz for op, _ in self.jumps)
 
-    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        return (self.Heff if self._drive is None else self._drive.at(t)) @ x
+    def heff(self, t: float, x: np.ndarray) -> np.ndarray:
+        c = None if self._drive is None else self._drive.at(t)
+        if c is None:
+            return self.Heff @ x
+        if c != self._c:
+            self._op.data[self._pos] = self._a + c * self._b + np.conj(c) * self._d
+            self._c = c
+        return self._op @ x
 
 
-class _FactoredHeff:
+class _Factored(Liouvillian):
     """Heff(t) x as H x + sum_k (-i rate_k/2) J_k+ (J_k x) + c V x + conj(c) V+ x.
 
     Each term is its own sparse product on operators that never change: the
     loss is applied through the jumps themselves, so no matrix stores the
     coupling of every pair of modes that J_k+ J_k makes, and c(t) scales a
-    product instead of rewriting entries.  The drive products are skipped
-    where |c| max|V| <= floor, as in ``_DrivenHeff``.  ``Heff`` builds the
-    fused CSR anew on each access.
+    product instead of rewriting entries.  ``Heff`` builds the fused CSR anew
+    on each access.
     """
 
-    name = "factored"
+    form = "factored"
 
-    def __init__(self, H: sp.csr_matrix, jumps: tuple, drive, floor: float):
-        self.H, self._jumps = H, jumps
+    def __init__(self, H: sp.csr_matrix, jumps: tuple, drive: _Drive | None):
+        super().__init__(jumps, drive)
+        self.H = H
         # (J, -(i rate/2) J+): the adjoint stored scaled, as its own CSR
         self._loss = [(J, (-0.5j * float(rate)) * J.conj().T.tocsr()) for J, rate in jumps]
-        self._drive = None
-        if drive is not None:
-            fn, V = drive
-            self._drive = (fn, V, V.conj().T.tocsr())
-            self._v_max = float(np.abs(V.data).max(initial=0.0))
-        self._floor = floor
-        self._t, self._c = None, 0.0
 
     @property
     def Heff(self) -> sp.csr_matrix:
-        return _effective_hamiltonian(self.H, self._jumps)
+        return _effective_hamiltonian(self.H, self.jumps)
 
     @property
     def nnz(self) -> int:
-        return self.H.nnz + sum(Jd.nnz for _, Jd in self._loss)
+        return self.H.nnz + sum(Jd.nnz + J.nnz for J, Jd in self._loss)
 
-    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
+    def heff(self, t: float, x: np.ndarray) -> np.ndarray:
         y = self.H @ x
         for J, Jd in self._loss:
             y += Jd @ (J @ x)
-        if self._drive is not None:
-            fn, V, Vd = self._drive
-            if t != self._t:
-                self._t, self._c = t, fn(t)
-            c = self._c
-            if abs(c) * self._v_max > self._floor:
-                y += c * (V @ x)
-                y += np.conj(c) * (Vd @ x)
+        c = None if self._drive is None else self._drive.at(t)
+        if c is not None:
+            y += c * (self._drive.V @ x)
+            y += np.conj(c) * (self._drive.Vd @ x)
         return y
 
 
@@ -255,84 +264,34 @@ def _effective_hamiltonian(H: sp.csr_matrix, jumps: tuple) -> sp.csr_matrix:
     return Heff.tocsr()
 
 
-def _heff_form(H: sp.csr_matrix, jumps: tuple, drive):
-    """The cheaper form of Heff(t) x, by entries read plus PRODUCT_CHARGE per product.
-
-    fused: one product on Heff, or on its union with the drive's V and V+;
-    factored: H, J_k and J_k+ for each jump, and V and V+, each once.  The
-    union is counted as Heff + V + V+, exact where they share no entry, as
-    for a drive that changes the excitation number that Heff conserves.
-    """
-    Heff = _effective_hamiltonian(H, jumps)
-    drive_nnz = 0 if drive is None else 2 * drive[1].nnz
-    fused = Heff.nnz + drive_nnz + PRODUCT_CHARGE
-    products = 1 + 2 * len(jumps) + (0 if drive is None else 2)
-    factored = (
-        H.nnz + 2 * sum(J.nnz for J, _ in jumps) + drive_nnz + PRODUCT_CHARGE * products
-    )
-    if fused <= factored:
-        return _FusedHeff(Heff, drive)
-    return _FactoredHeff(H, jumps, drive, _drive_floor(Heff))
-
-
-@dataclass(frozen=True)
-class Liouvillian:
-    """Lindblad generator of H, its jumps and an optional drive.
-
-    Heff = H - (i/2) sum_k rate_k J_k+ J_k; jumps are the (CSR op, rate > 0)
-    pairs; drive, if any, adds c(t) V + conj(c(t)) V+ to H.  ``form`` applies
-    Heff(t), fused or factored (``build_liouvillian`` chooses).  For
-    Hermitian rho, L(rho) = -i(B - B+) + sum_k rate_k J_k rho J_k+ with
-    B = Heff(t) rho, since rho Heff(t)+ = (Heff(t) rho)+.
-    """
-
-    form: _FusedHeff | _FactoredHeff
-    jumps: tuple
-
-    @property
-    def Heff(self) -> sp.csr_matrix:
-        """The drive-free Heff as one CSR (built anew by the factored form)."""
-        return self.form.Heff
-
-    @property
-    def nnz(self) -> int:
-        """Stored entries of the form's drive-free operators and of the jumps."""
-        return self.form.nnz + sum(op.nnz for op, _ in self.jumps)
-
-    def heff(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Heff(t) x, with Heff(t) = Heff + c V + conj(c) V+, for a vector, a
-        dim x B block or a d x d matrix.
-
-        Where |c(t)| max|V| <= eps max|Heff| the drive is left out.
-        """
-        return self.form(t, x)
-
-    def apply(self, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
-        """L(rho) at time t, for Hermitian rho."""
-        B = self.heff(t, rho)
-        out = -1j * (B - B.conj().T)
-        for op, rate in self.jumps:
-            # J rho J+ = J (J rho)+ for Hermitian rho
-            out += rate * (op @ (op @ rho).conj().T)
-        return out
-
-
 def build_liouvillian(H, jumps=(), drive=None) -> Liouvillian:
     """Generator of H with (operator, rate) jumps and a (coeff_fn, op) drive.
 
     H must be Hermitian and the rates non-negative; jumps of rate 0 are
     dropped.  drive is the pair ``build_drive_term`` returns.  Heff(t) is
-    applied fused or factored, whichever ``_heff_form`` counts cheaper.
+    applied in the cheaper form, by entries read plus PRODUCT_CHARGE per
+    product: fused, one product on Heff or on its union with V and V+, or
+    factored, H, J_k and J_k+ for each jump, and V and V+, each once.  The
+    union is counted as Heff + V + V+, exact where they share no entry, as
+    for a drive that changes the excitation number that Heff conserves.
     """
     H = as_csr(H)
     _require_hermitian(H, "Hamiltonian")
     if any(rate < 0 for _, rate in jumps):
         raise ParameterError("jump rates must be non-negative")
     kept = tuple((as_csr(op), rate) for op, rate in jumps if rate > 0)
+    Heff = _effective_hamiltonian(H, kept)
     if drive is not None:
-        fn, op = drive
-        drive = (fn, as_csr(op))
-    return Liouvillian(_heff_form(H, kept, drive), kept)
+        drive = _Drive(drive[0], as_csr(drive[1]), Heff)
+    drive_nnz = 0 if drive is None else 2 * drive.V.nnz
+    fused = Heff.nnz + drive_nnz + PRODUCT_CHARGE
+    products = 1 + 2 * len(kept) + (0 if drive is None else 2)
+    factored = (
+        H.nnz + 2 * sum(J.nnz for J, _ in kept) + drive_nnz + PRODUCT_CHARGE * products
+    )
+    if fused <= factored:
+        return _Fused(Heff, kept, drive)
+    return _Factored(H, kept, drive)
 
 
 def expectation(op, rho: np.ndarray) -> complex:

@@ -13,11 +13,12 @@ path's state at the substep boundary before its first jump.
 
 From there the jumping trajectories advance together, in lock-step over the
 substep grid, as the columns of one dim x B block.  Each RK4 stage applies
-Heff(t) to the whole block at once.  Where the generator holds Heff fused,
+Heff(t) to the whole block at once.  Where the generator's form is fused,
 that is one sparse product on an operator whose drive entries are rewritten
-once per stage time; where it holds Heff factored (large truncations, where
-the collective loss fills Heff), one product per term: H, each jump and its
-adjoint, and the drive pair.
+when c(t) changes; where it is factored (large truncations, where the
+collective loss fills Heff), one product per term: H, each jump and its
+adjoint, and the drive pair.  Either way c(t) is evaluated once per stage
+time, three times per RK4 step.
 After each block step every column's norm^2 is tested against that column's
 own threshold; a column that crosses leaves the block for the substep, takes
 its jumps one vector at a time (bisection, channel choice, the rest of the
@@ -272,6 +273,8 @@ def mcwf_evolve(
         raise ValueError("n_traj must be at least 1")
     if substeps < 1:
         raise ValueError("substeps must be at least 1")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be in [0, 2**64)")
     t_grid = np.asarray(t_grid, dtype=float)
     dt_grid = uniform_step(t_grid)
     psi0 = np.asarray(psi0, dtype=complex)
@@ -360,6 +363,6 @@ def mcwf_evolve(
             "total_jumps": total_jumps,
             "max_leakage": max_leak,
             "mean_leakage": float(np.mean(peaks)),
-            "generator": {"form": L.form.name, "nnz": L.nnz},
+            "generator": {"form": L.form, "nnz": L.nnz},
         },
     )

@@ -111,6 +111,15 @@ def test_config_unknown_field_rejected(raw, path):
         ({"experiment": "scattering", "model": {"n_max": 2.7}}, "model.n_max"),
         # the same rung twice would run twice and write one file
         ({"experiment": "emission", "model": {"N_A": [1, 1]}}, "model.N_A"),
+        # a Philox key word is a uint64
+        ({"experiment": "scattering", "model": {"N_A": [0]},
+          "solver": {"n_traj": 2, "seed": -1}}, "solver.seed"),
+        ({"experiment": "scattering", "solver": {"seed": 2**64}}, "solver.seed"),
+        # the output grid steps by dt: 6/0.07 would run at 6/86, 7 > t_max
+        ({"experiment": "emission", "solver": {"dt": 0.07}}, "solver.dt"),
+        ({"experiment": "convergence", "solver": {"dt": 2.5}}, "solver.dt"),
+        ({"experiment": "scattering", "solver": {"dt": 7.0}}, "solver.dt"),
+        ({"experiment": "scattering", "solver": {"dt": 0.07}}, "solver.dt"),
     ],
 )
 def test_cli_rejects_a_config_the_run_cannot_follow(tmp_path, capsys, raw, path):
@@ -147,6 +156,13 @@ def test_cli_rejects_t_max_shorter_than_the_delay(tmp_path, capsys, command):
     }))
     assert cli.main([command, "--config", str(p), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
     assert "solver.t_max" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_seed_flag_out_of_range(tmp_path, capsys):
+    # checked before the default scattering model (dim 19125) is built
+    assert cli.main(["scattering", "--seed", "-1", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "'solver.seed'" in capsys.readouterr().err
+    assert ExperimentConfig(experiment="scattering", seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_cli_refuses_an_oversized_chain_as_config_error(tmp_path, capsys):

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorqed import lindblad
+from mirrorqed import lindblad, mcwf
 from mirrorqed.hilbert import as_csr, sigma_minus, sigma_plus, sigma_x
 from mirrorqed.lindblad import (
     DriveDissipationSpec,
@@ -380,10 +380,8 @@ def test_drive_below_the_floor_leaves_heff_alone():
         assert L.heff(t, x).tobytes() == (Heff @ x).tobytes()
 
 
-def test_stage_operator_where_heff_and_the_drive_share_entries():
-    # a random Hermitian H and loss whose pattern overlaps the drive's
-    rng = np.random.default_rng(10)
-    d = 30
+def _overlapping_parts(rng, d=30):
+    """A random Hermitian H, a loss J and a drive (coeff, V) whose patterns overlap."""
     A = sp.random(d, d, density=0.2, random_state=rng) * (1 + 0.5j)
     V = sp.random(d, d, density=0.15, random_state=rng) * (1 - 2j)
     J = sp.random(d, d, density=0.1, random_state=rng)
@@ -391,11 +389,72 @@ def test_stage_operator_where_heff_and_the_drive_share_entries():
     def coeff(t):
         return 0.7 - 0.2j * t
 
-    L = build_liouvillian(A + A.conj().T, [(J, 0.3)], (coeff, V))
+    return A + A.conj().T, J, (coeff, V)
+
+
+def test_stage_operator_where_heff_and_the_drive_share_entries():
+    rng = np.random.default_rng(10)
+    d = 30
+    H, J, (coeff, V) = _overlapping_parts(rng, d)
+    L = build_liouvillian(H, [(J, 0.3)], (coeff, V))
     x = rng.normal(size=(d, 4)) + 1j * rng.normal(size=(d, 4))
     for t in (0.5, 1.3, 0.5):
         ref = _heff_reference(L.Heff, as_csr(V), coeff(t), x)
         assert np.max(np.abs(L.heff(t, x) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _keys(M):
+    """Row-major keys row * d + col of the entries M stores, explicit zeros included."""
+    M = M.tocsr()
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    return rows * M.shape[1] + M.indices
+
+
+def test_fused_union_stores_the_three_patterns_once(monkeypatch):
+    # one CSR on the union of the Heff, V and V+ patterns, sorted, where
+    # entries the drive alone stores are kept as explicit zeros until the
+    # first rewrite; at time t it holds Heff + c V + conj(c) V+ entry for entry
+    # (to rounding: numpy's c * b and scipy's b * c may differ in the last bit)
+    H, J, (coeff, V) = _overlapping_parts(np.random.default_rng(10))
+    monkeypatch.setattr(lindblad, "PRODUCT_CHARGE", 10**9)
+    L = build_liouvillian(H, [(J, 0.3)], (coeff, V))
+    assert L.form == "fused"
+    V = as_csr(V)
+    Vd = V.conj().T.tocsr()
+    union = np.unique(np.concatenate([_keys(M) for M in (L.Heff, V, Vd)]))
+    keys = _keys(L._op)
+    assert np.array_equal(keys, union)
+    assert len(np.setdiff1d(_keys(V), _keys(L.Heff))) > 0
+    drive_only = np.isin(keys, np.setdiff1d(union, _keys(L.Heff)))
+    assert drive_only.any() and not np.any(L._op.data[drive_only])
+    x = np.ones(H.shape[0], dtype=complex)
+    for t in (0.5, 1.3):
+        L.heff(t, x)
+        c = coeff(t)
+        ref = (L.Heff + c * V + np.conj(c) * Vd).toarray().reshape(-1)[keys]
+        tol = 4 * np.finfo(float).eps * np.abs(ref).max()
+        np.testing.assert_allclose(L._op.data, ref, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("charge, form", [(10**9, "fused"), (0, "factored")])
+def test_rk4_step_evaluates_the_coefficient_once_per_stage_time(monkeypatch, charge, form):
+    # k2 and k3 share t + h/2: three calls, at t, t + h/2 and t + h
+    H, jumps, (coeff, V), spec, space = _pulse_generator_parts(2, 5)
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return coeff(t)
+
+    monkeypatch.setattr(lindblad, "PRODUCT_CHARGE", charge)
+    L = build_liouvillian(H, jumps, (counted, V))
+    assert L.form == form
+    prob = mcwf._Problem(L=L, jump_ops=[], e_ops={}, leak_diag=None,
+                         t_grid=np.array([0.0, 1.0]), h=0.25, n_sub=4)
+    t, h = spec.t0, 0.01
+    psi = np.random.default_rng(11).normal(size=(space.dim, 3)).astype(complex)
+    prob.rk4_step(t, psi, h)
+    assert calls == [t, t + 0.5 * h, t + h]
 
 
 def test_heff_form_is_chosen_by_stored_entries():
@@ -405,12 +464,12 @@ def test_heff_form_is_chosen_by_stored_entries():
     H, jumps, drive, _, _ = _pulse_generator_parts(2, 5)
     (J, _), = jumps
     L = build_liouvillian(H, jumps, drive)
-    assert L.form.name == "fused"
+    assert L.form == "fused"
     assert L.nnz == L.Heff.nnz + J.nnz == 5656
     H, jumps, drive, _, _ = _pulse_generator_parts(7, 3)
     (J, _), = jumps
     L = build_liouvillian(H, jumps, drive)
-    assert L.form.name == "factored"
+    assert L.form == "factored"
     assert L.nnz == H.nnz + 2 * J.nnz == 9550  # H, J and the scaled J+
     assert L.Heff.nnz == 36950
 
@@ -426,7 +485,7 @@ def test_factored_heff_agrees_with_the_fused_one(monkeypatch, case):
     factored = build_liouvillian(H, jumps, drive)
     monkeypatch.setattr(lindblad, "PRODUCT_CHARGE", 10**9)
     fused = build_liouvillian(H, jumps, drive)
-    assert (factored.form.name, fused.form.name) == ("factored", "fused")
+    assert (factored.form, fused.form) == ("factored", "fused")
     assert _same_csr(factored.Heff, fused.Heff)
     floor = np.finfo(float).eps * np.abs(fused.Heff.data).max()
     if case == "drive on":

@@ -191,6 +191,9 @@ def test_input_validation():
         mcwf_evolve(np.zeros((2, 2)), [], psi0, t, n_traj=1, seed=0, leak_projector=np.eye(2))
     with pytest.raises(ValueError):
         mcwf_evolve(np.zeros((2, 2)), [], psi0, t, n_traj=1, seed=0, substeps=0)
+    for seed in (-1, 2**64):  # a Philox key is two uint64 words
+        with pytest.raises(ValueError, match="seed"):
+            mcwf_evolve(np.zeros((2, 2)), [], psi0, t, n_traj=1, seed=seed)
     # the generator's own checks, shared with the master equation
     with pytest.raises(ParameterError):
         mcwf_evolve(np.zeros((2, 2)), [(sigma_minus(), -1.0)], psi0, t, n_traj=1, seed=0)
