@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import jv
 
-from .hilbert import CompositeSpace
+from .hilbert import CompositeSpace, csr_dot
 from .results import EvolutionResult, uniform_step
 
 K_WINDOW = (0.2 * math.pi, 0.8 * math.pi)
@@ -149,7 +149,8 @@ def chebyshev_evolve(H, psi: np.ndarray, h: float, steps: int):
     with c_k = (2 - delta_k0) (-i)^k J_k(half h) exp(-i mid h) (Tal-Ezer and
     Kosloff 1984), cut after the last |c_k| >= CHEBYSHEV_CUTOFF; J_k(x) is
     negligible well before k = 2x + 40.  Each step runs the three-term
-    recurrence T_{k+1} = 2x T_k - T_{k-1} on sparse matvecs.  The record
+    recurrence T_{k+1} = 2x T_k - T_{k-1} on sparse matvecs (``csr_dot``,
+    which skips scipy's per-call dispatch of ``@``).  The record
     gives the method, the terms per step and the interval.
     """
     # each eigenvalue lies within some row's off-diagonal sum of its diagonal
@@ -165,10 +166,10 @@ def chebyshev_evolve(H, psi: np.ndarray, h: float, steps: int):
     states = np.empty((steps + 1, len(psi)), dtype=complex)
     states[0] = psi
     for i in range(1, steps + 1):
-        prev, cur = states[i - 1], 0.5 * (X2 @ states[i - 1])
+        prev, cur = states[i - 1], 0.5 * csr_dot(X2, states[i - 1])
         out = coef[0] * prev + coef[1] * cur
         for c in coef[2:]:
-            prev, cur = cur, X2 @ cur - prev
+            prev, cur = cur, csr_dot(X2, cur) - prev
             out += c * cur
         states[i] = out
     return states, {

@@ -6,7 +6,9 @@ the total excitation number keeps single- and few-excitation problems at
 their natural dimension instead of the full Fock product.  The basis is
 unranked from a completion-count table, which also gives its dimension before
 anything is allocated, and operators on the space are lifted straight into CSR
-through the ranks of the occupations they reach.
+through the ranks of the occupations they reach.  ``csr_dot`` applies such an
+operator to a dense vector or block on scipy's own kernel, without the
+per-call dispatch of ``@``; every hot sparse product in the package uses it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 
 class DimensionMismatchError(ValueError):
@@ -301,6 +304,40 @@ def as_csr(op) -> sp.csr_matrix:
     if sp.issparse(op):
         return op.tocsr().astype(complex, copy=False)
     return sp.csr_matrix(np.asarray(op, dtype=complex))
+
+
+def csr_dot(A: sp.csr_matrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A x for a CSR matrix A and a dense vector or dim x B block x.
+
+    Calls the kernel ``A @ x`` ends in (``csr_matvec`` for a vector or one
+    column, ``csr_matvecs`` for a block) without the dispatch ``@`` goes
+    through on every call.  Without ``out`` the product is written into fresh
+    zeros, so it is bitwise ``A @ x``; with ``out`` it is added into ``out``,
+    row by row (out_i + A_i1 x_1 + A_i2 x_2 + ...), and ``out`` is returned.
+    ``out`` must be C-contiguous complex128 of the product's shape: the
+    kernel writes through a flat view, which any other layout would make a
+    copy.  ``_sparsetools`` is private to scipy and its signatures are no
+    public contract; they were checked against scipy 1.17.1, and a scipy
+    upgrade should re-run ``test_csr_dot_is_bitwise_the_sparse_product``.
+    """
+    M, N = A.shape
+    shape = (M,) + x.shape[1:]
+    if A.format != "csr" or x.ndim not in (1, 2) or x.shape[0] != N:
+        raise ValueError(f"csr_dot takes a CSR matrix and {N} rows, not {A.format} and {x.shape}")
+    if out is None:
+        dtype = x.dtype if x.dtype == A.dtype else np.promote_types(A.dtype, x.dtype)
+        out = np.zeros(shape, dtype=dtype)
+    elif out.shape != shape or out.dtype != np.complex128 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous complex128 array of shape {shape}")
+    if x.ndim == 1:
+        _sparsetools.csr_matvec(M, N, A.indptr, A.indices, A.data, x, out)
+    elif x.shape[1] == 1:
+        _sparsetools.csr_matvec(M, N, A.indptr, A.indices, A.data, x.ravel(), out.ravel())
+    else:
+        _sparsetools.csr_matvecs(
+            M, N, x.shape[1], A.indptr, A.indices, A.data, x.ravel(), out.ravel()
+        )
+    return out
 
 
 def sigma_minus() -> np.ndarray:

@@ -5,7 +5,10 @@ sparse effective Hamiltonian and jump operators (``Liouvillian``); the
 d^2 x d^2 superoperator is never formed, neither for time evolution nor for
 steady states.  A coherent drive is one ``_Drive``, which holds c(t), V and
 V+ and the floor below which it is left out; the generator is one subclass
-per form of Heff(t) x, fused (one product) or factored (one per term).
+per form of Heff(t) x, fused (one product) or factored (one per term, with
+the drive folded into the loss channel it enters by).  Every sparse product
+on a dense operand is ``hilbert.csr_dot``, scipy's kernel without the
+dispatch of ``@``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import get_lapack_funcs, schur
 from scipy.sparse.linalg import LinearOperator, eigs
 
-from .hilbert import CompositeSpace, as_csr, sigma_x
+from .hilbert import CompositeSpace, as_csr, csr_dot, sigma_x
 from .model import EffectiveModel, ParameterError
 from .results import EvolutionResult
 
@@ -143,12 +146,15 @@ class Liouvillian:
     per ``form``, which ``build_liouvillian`` chooses, gives ``heff(t, x)``,
     Heff(t) x for a vector, a dim x B block or a d x d matrix (the drive left
     out below its floor), the drive-free ``Heff`` as one CSR, and ``nnz``,
-    the entries its operators and the jumps store.  For Hermitian rho,
+    the entries its operators and the jumps store, and ``products``, the
+    sparse products one ``heff`` takes with the drive on.  Every product is a
+    ``csr_dot``.  For Hermitian rho,
     L(rho) = -i(B - B+) + sum_k rate_k J_k rho J_k+ with B = Heff(t) rho,
     since rho Heff(t)+ = (Heff(t) rho)+.
     """
 
     form: str
+    products: int
 
     def __init__(self, jumps: tuple, drive: _Drive | None):
         self.jumps, self._drive = jumps, drive
@@ -159,7 +165,7 @@ class Liouvillian:
         out = -1j * (B - B.conj().T)
         for op, rate in self.jumps:
             # J rho J+ = J (J rho)+ for Hermitian rho
-            out += rate * (op @ (op @ rho).conj().T)
+            out += rate * csr_dot(op, csr_dot(op, rho).conj().T)
         return out
 
 
@@ -173,6 +179,7 @@ class _Fused(Liouvillian):
     """
 
     form = "fused"
+    products = 1
 
     def __init__(self, Heff: sp.csr_matrix, jumps: tuple, drive: _Drive | None):
         super().__init__(jumps, drive)
@@ -202,30 +209,39 @@ class _Fused(Liouvillian):
     def heff(self, t: float, x: np.ndarray) -> np.ndarray:
         c = None if self._drive is None else self._drive.at(t)
         if c is None:
-            return self.Heff @ x
+            return csr_dot(self.Heff, x)
         if c != self._c:
             self._op.data[self._pos] = self._a + c * self._b + np.conj(c) * self._d
             self._c = c
-        return self._op @ x
+        return csr_dot(self._op, x)
 
 
 class _Factored(Liouvillian):
     """Heff(t) x as H x + sum_k (-i rate_k/2) J_k+ (J_k x) + c V x + conj(c) V+ x.
 
-    Each term is its own sparse product on operators that never change: the
-    loss is applied through the jumps themselves, so no matrix stores the
-    coupling of every pair of modes that J_k+ J_k makes, and c(t) scales a
-    product instead of rewriting entries.  ``Heff`` builds the fused CSR anew
-    on each access.
+    Each term is a sparse product on operators that never change, added into
+    one output (``csr_dot(..., out=y)``): the loss is applied through the
+    jumps themselves, so no matrix stores the coupling of every pair of modes
+    that J_k+ J_k makes, and c(t) scales a vector instead of rewriting
+    entries.  A drive's V+ is the kept jump J_k with index ``fold``: the
+    channel the pulse enters by is the one block A leaks into, and with
+    u = J_k x the drive rides on that jump's two products:
+    (-i rate_k/2) J_k+ u + c J_k+ x + conj(c) u = (-i rate_k/2) J_k+ (u + c' x) + conj(c) u
+    with c' = c / (-i rate_k/2).  ``Heff`` builds the fused CSR anew on each
+    access.
     """
 
     form = "factored"
 
-    def __init__(self, H: sp.csr_matrix, jumps: tuple, drive: _Drive | None):
+    def __init__(self, H: sp.csr_matrix, jumps: tuple, drive: _Drive | None, fold: int | None):
         super().__init__(jumps, drive)
-        self.H = H
-        # (J, -(i rate/2) J+): the adjoint stored scaled, as its own CSR
-        self._loss = [(J, (-0.5j * float(rate)) * J.conj().T.tocsr()) for J, rate in jumps]
+        self.H, self._fold = H, fold
+        # (J, -(i rate/2), -(i rate/2) J+): the adjoint stored scaled, as its own CSR
+        self._loss = []
+        for J, rate in jumps:
+            scale = -0.5j * float(rate)
+            self._loss.append((J, scale, scale * J.conj().T.tocsr()))
+        self.products = 1 + 2 * len(jumps)
 
     @property
     def Heff(self) -> sp.csr_matrix:
@@ -233,16 +249,18 @@ class _Factored(Liouvillian):
 
     @property
     def nnz(self) -> int:
-        return self.H.nnz + sum(Jd.nnz + J.nnz for J, Jd in self._loss)
+        return self.H.nnz + sum(Jd.nnz + J.nnz for J, _, Jd in self._loss)
 
     def heff(self, t: float, x: np.ndarray) -> np.ndarray:
-        y = self.H @ x
-        for J, Jd in self._loss:
-            y += Jd @ (J @ x)
         c = None if self._drive is None else self._drive.at(t)
-        if c is not None:
-            y += c * (self._drive.V @ x)
-            y += np.conj(c) * (self._drive.Vd @ x)
+        y = csr_dot(self.H, x)
+        for k, (J, scale, Jd) in enumerate(self._loss):
+            u = csr_dot(J, x)
+            if c is not None and k == self._fold:
+                csr_dot(Jd, u + (c / scale) * x, out=y)
+                y += np.conj(c) * u
+            else:
+                csr_dot(Jd, u, out=y)
         return y
 
 
@@ -253,6 +271,12 @@ class _Factored(Liouvillian):
 # 14,110).  Fitting a cost per product and per entry to each pair gives
 # 3.3-5.1 us against 2.8-4.7 ns, so a product costs what 1,100-1,200 entries
 # do.  1500 leans to the fused form, one product, where the two are close.
+# The fit predates ``csr_dot``: each product then also paid scipy's dispatch
+# of ``@``, and the factored form applied the drive through V and V+ even
+# where it now rides on the loss's products.  The rule below still counts
+# those two products; counted folded, dim 343 would turn factored (1,472 +
+# 2 x 855 + 3 x 1,500 = 7,682 against 8,011 fused) and its trajectories'
+# rounding would move.
 PRODUCT_CHARGE = 1500
 
 
@@ -262,6 +286,15 @@ def _effective_hamiltonian(H: sp.csr_matrix, jumps: tuple) -> sp.csr_matrix:
     for J, rate in jumps:
         Heff = Heff - 0.5j * float(rate) * (J.conj().T @ J)
     return Heff.tocsr()
+
+
+def _drive_channel(drive: _Drive | None, jumps: tuple) -> int | None:
+    """Index of the first jump J_k equal, entry for entry, to the drive's V+."""
+    if drive is not None:
+        for k, (J, _) in enumerate(jumps):
+            if J.shape == drive.Vd.shape and (J != drive.Vd).nnz == 0:
+                return k
+    return None
 
 
 def build_liouvillian(H, jumps=(), drive=None) -> Liouvillian:
@@ -274,6 +307,9 @@ def build_liouvillian(H, jumps=(), drive=None) -> Liouvillian:
     factored, H, J_k and J_k+ for each jump, and V and V+, each once.  The
     union is counted as Heff + V + V+, exact where they share no entry, as
     for a drive that changes the excitation number that Heff conserves.
+    The factored form applies a drive only through the kept jump its V+
+    equals (``_Factored``), skipping V and V+, which the count leaves in; a
+    drive with no such jump is applied fused.
     """
     H = as_csr(H)
     _require_hermitian(H, "Hamiltonian")
@@ -289,9 +325,11 @@ def build_liouvillian(H, jumps=(), drive=None) -> Liouvillian:
     factored = (
         H.nnz + 2 * sum(J.nnz for J, _ in kept) + drive_nnz + PRODUCT_CHARGE * products
     )
-    if fused <= factored:
-        return _Fused(Heff, kept, drive)
-    return _Factored(H, kept, drive)
+    if fused > factored:
+        fold = _drive_channel(drive, kept)
+        if drive is None or fold is not None:
+            return _Factored(H, kept, drive, fold)
+    return _Fused(Heff, kept, drive)
 
 
 def expectation(op, rho: np.ndarray) -> complex:

@@ -16,9 +16,12 @@ substep grid, as the columns of one dim x B block.  Each RK4 stage applies
 Heff(t) to the whole block at once.  Where the generator's form is fused,
 that is one sparse product on an operator whose drive entries are rewritten
 when c(t) changes; where it is factored (large truncations, where the
-collective loss fills Heff), one product per term: H, each jump and its
-adjoint, and the drive pair.  Either way c(t) is evaluated once per stage
-time, three times per RK4 step.
+collective loss fills Heff), one product per term added into one output:
+H and each jump and its adjoint, with a pulse that enters by a loss channel
+riding on that jump's two products.  Either way c(t) is
+evaluated once per stage time, three times per RK4 step, and every sparse
+product, the jumps' and the observables' included, is ``csr_dot``, scipy's
+kernel called without the dispatch of ``@``.
 After each block step every column's norm^2 is tested against that column's
 own threshold; a column that crosses leaves the block for the substep, takes
 its jumps one vector at a time (bisection, channel choice, the rest of the
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import as_csr
+from .hilbert import as_csr, csr_dot
 from .lindblad import Liouvillian, build_liouvillian
 from .results import EvolutionResult, uniform_step
 
@@ -118,7 +121,7 @@ class _Problem:
         pn = psi / np.where(nrm > NORM_FLOOR, nrm, 1.0)
         obs = np.empty((psi.shape[1], len(self.e_ops)))
         for i, op in enumerate(self.e_ops.values()):
-            obs[:, i] = op(t, pn) if callable(op) else column_vdot(pn, op @ pn).real
+            obs[:, i] = op(t, pn) if callable(op) else column_vdot(pn, csr_dot(op, pn)).real
         if self.leak_diag is None:
             return obs, np.zeros(psi.shape[1])
         return obs, column_vdot(pn, self.leak_diag[:, None] * pn).real
@@ -173,7 +176,7 @@ def _locate_jump(prob: _Problem, psi0: np.ndarray, t0: float, h: float, r: float
 
 def _apply_jump(prob: _Problem, psi: np.ndarray, rng) -> np.ndarray:
     """Select a channel by relative weight (cumulative, jump-index order)."""
-    post = [J @ psi for J in prob.jump_ops]
+    post = [csr_dot(J, psi) for J in prob.jump_ops]
     weights = np.array([_norm2(p) for p in post])
     total = weights.sum()
     if total <= 0.0:
@@ -363,6 +366,6 @@ def mcwf_evolve(
             "total_jumps": total_jumps,
             "max_leakage": max_leak,
             "mean_leakage": float(np.mean(peaks)),
-            "generator": {"form": L.form, "nnz": L.nnz},
+            "generator": {"form": L.form, "nnz": L.nnz, "products": L.products},
         },
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .hilbert import CompositeSpace
+from .hilbert import CompositeSpace, csr_dot
 from .lindblad import collective_mode_op, expectation
 from .mcwf import column_vdot
 from .model import EffectiveModel, ParameterError
@@ -39,8 +39,14 @@ class PulseSpec:
 
 
 def gaussian_envelope(spec: PulseSpec, t):
-    """E_in(t), normalized so that the integral of |E_in|^2 is n_ph."""
-    t = np.asarray(t, dtype=float)
+    """E_in(t), normalized so that the integral of |E_in|^2 is n_ph.
+
+    A scalar t gives a complex, computed in Python floats around numpy's own
+    exp: bitwise the value a 0-d array t gives, without the cost of 0-d
+    arrays (the drive coefficient takes one per RK4 stage time).
+    """
+    scalar = isinstance(t, (int, float))
+    t = float(t) if scalar else np.asarray(t, dtype=float)
     amp = (
         math.sqrt(spec.n_ph)
         * (spec.W**2 / (2.0 * math.pi)) ** 0.25
@@ -83,7 +89,7 @@ def make_output_e_ops(space: CompositeSpace, model: EffectiveModel, spec: PulseS
     rg = math.sqrt(model.gamma)
 
     def apply_O(E: complex, psi: np.ndarray) -> np.ndarray:
-        return E * psi + 1j * rg * (A @ psi)
+        return E * psi + 1j * rg * csr_dot(A, psi)
 
     def i_out(t: float, psi: np.ndarray):
         Op = apply_O(gaussian_envelope(spec, t), psi)

@@ -429,15 +429,17 @@ def test_decay_runs_record_their_delay_grids(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "N_A, cap, form, nnz", [(2, 5, "fused", 5656), (7, 3, "factored", 9550)]
+    "N_A, cap, form, nnz, products",
+    [(2, 5, "fused", 5656, 1), (7, 3, "factored", 9550, 3)],
 )
-def test_scattering_records_its_generator(tmp_path, N_A, cap, form, nnz):
-    # the criterion-9 truncation keeps Heff fused (Heff 4801 + A 855 entries);
-    # at N_A 7, cap 3 the loss is factored (H 4990 + A and A+ 2280 each)
+def test_scattering_records_its_generator(tmp_path, N_A, cap, form, nnz, products):
+    # the criterion-9 truncation keeps Heff fused (Heff 4801 + A 855 entries,
+    # one product); at N_A 7, cap 3 the loss is factored (H 4990 + A and A+
+    # 2280 each), and the pulse rides on the products of A and A+
     _run(tmp_path, experiment="scattering", Gamma_tau=4.0, N_A=[N_A], n_max=3,
          max_excitations=cap, t_max=1.0, dt=0.05, n_traj=2, substeps=2)
     prov = json.loads((tmp_path / "provenance.json").read_text())
-    assert prov["generator"] == {"form": form, "nnz": nnz}
+    assert prov["generator"] == {"form": form, "nnz": nnz, "products": products}
     assert prov["truncation"]["dim"] == {2: 343, 7: 952}[N_A]
 
 

@@ -13,6 +13,7 @@ from mirrorqed.hilbert import (
     CompositeSpace,
     DimensionMismatchError,
     SectorSizeError,
+    csr_dot,
     sigma_minus,
     sigma_plus,
     sigma_x,
@@ -336,3 +337,66 @@ def test_oversized_space_is_refused_before_allocating(n_modes, n_max, cap):
     finally:
         tracemalloc.stop()
     assert peak < 5e6
+
+
+def _random_csr(rng, d, index_dtype):
+    A = scipy.sparse.random(d, d, density=0.2, random_state=rng, format="csr") * (1 - 0.7j)
+    A.indptr, A.indices = A.indptr.astype(index_dtype), A.indices.astype(index_dtype)
+    return A
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_csr_dot_is_bitwise_the_sparse_product(index_dtype):
+    # scipy's own kernels into fresh zeros: vectors, one column, C blocks,
+    # strided columns and the Fortran-ordered (op rho)+ of Liouvillian.apply
+    rng = np.random.default_rng(1)
+    d = 40
+    A = _random_csr(rng, d, index_dtype)
+    assert A.indices.dtype == index_dtype
+    psi = rng.normal(size=(d, 5)) + 1j * rng.normal(size=(d, 5))
+    rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    operands = {
+        "vector": psi[:, 0].copy(),
+        "one column": psi[:, :1].copy(),
+        "C block": psi,
+        "strided column": psi[:, 2],
+        "Fortran block": (A @ rho).conj().T,
+        "real vector": rng.normal(size=d),
+    }
+    assert operands["Fortran block"].flags.f_contiguous
+    for name, x in operands.items():
+        ref = A @ x
+        out = csr_dot(A, x)
+        assert out.shape == ref.shape and out.dtype == ref.dtype, name
+        assert out.tobytes() == ref.tobytes(), name
+
+
+def test_csr_dot_adds_into_out_row_by_row():
+    rng = np.random.default_rng(2)
+    d = 30
+    A = _random_csr(rng, d, np.int32)
+    for x in (rng.normal(size=d) + 1j, rng.normal(size=(d, 3)) + 1j, rng.normal(size=(d, 1)) + 1j):
+        y0 = rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)
+        y = y0.copy()
+        assert csr_dot(A, x, out=y) is y
+        ref = y0 + A @ x
+        np.testing.assert_allclose(y, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+
+
+def test_csr_dot_refuses_an_out_it_would_copy():
+    # a non-contiguous or non-complex out would take the product in a copy
+    # and lose it; a wrong shape, format or operand length is refused too
+    rng = np.random.default_rng(3)
+    d = 20
+    A = _random_csr(rng, d, np.int32)
+    x = rng.normal(size=(d, 2)) + 0j
+    wide = np.zeros((d, 4), dtype=complex)
+    for out in (wide[:, ::2], np.zeros((2, d), dtype=complex).T, np.zeros((d, 2)),
+                np.zeros((d, 3), dtype=complex)):
+        with pytest.raises(ValueError, match="out must be"):
+            csr_dot(A, x, out=out)
+    assert not wide.any()
+    with pytest.raises(ValueError):
+        csr_dot(A.tocsc(), x)
+    with pytest.raises(ValueError):
+        csr_dot(A, x[:-1])

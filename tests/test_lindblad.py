@@ -472,20 +472,26 @@ def test_heff_form_is_chosen_by_stored_entries():
     assert L.form == "factored"
     assert L.nnz == H.nnz + 2 * J.nnz == 9550  # H, J and the scaled J+
     assert L.Heff.nnz == 36950
+    # the pulse's V+ is the loss's A: H, A and A+ only
+    assert L.products == 3
 
 
 @pytest.mark.parametrize("case", ["drive on", "drive below the floor", "no drive"])
 def test_factored_heff_agrees_with_the_fused_one(monkeypatch, case):
-    # N_A 7, cap 3 (dim 952) takes the factored form; a prohibitive charge
-    # per product forces the same generator fused
-    H, jumps, drive, spec, _ = _pulse_generator_parts(7, 3)
-    coeff, V = drive
+    """Heff(t) x and L(rho) of the N_A 7, cap 3 generator, both forms.
+
+    N_A 7, cap 3 (dim 952) takes the factored form, with the scattering
+    pulse (V = A+ = J+) riding on the loss's products; a prohibitive charge
+    per product forces the same generator fused.
+    """
+    H, jumps, (coeff, V), spec, _ = _pulse_generator_parts(7, 3)
     t = spec.t0 + (14.0 / spec.W if case == "drive below the floor" else 0.0)
-    drive = None if case == "no drive" else drive
+    drive = None if case == "no drive" else (coeff, V)
     factored = build_liouvillian(H, jumps, drive)
     monkeypatch.setattr(lindblad, "PRODUCT_CHARGE", 10**9)
     fused = build_liouvillian(H, jumps, drive)
     assert (factored.form, fused.form) == ("factored", "fused")
+    assert (factored.products, fused.products) == (3, 1)
     assert _same_csr(factored.Heff, fused.Heff)
     floor = np.finfo(float).eps * np.abs(fused.Heff.data).max()
     if case == "drive on":
@@ -503,7 +509,39 @@ def test_factored_heff_agrees_with_the_fused_one(monkeypatch, case):
     ref = fused.apply(rho, t)
     assert np.max(np.abs(factored.apply(rho, t) - ref)) <= 1e-13 * np.max(np.abs(ref))
     if case == "drive below the floor":
-        # the drive's products are skipped, not added as rounding
+        # the drive's terms are skipped, not added as rounding
         monkeypatch.undo()
         undriven = build_liouvillian(H, jumps)
         assert factored.heff(t, block).tobytes() == undriven.heff(t, block).tobytes()
+
+
+def test_drive_is_folded_exactly_where_its_adjoint_is_a_kept_jump(monkeypatch):
+    # the factored form takes a drive only through a kept jump equal to its
+    # V+; any other drive is applied fused, whatever the entries say
+    H, jumps, (coeff, V), spec, space = _pulse_generator_parts(7, 3)
+    (A, gamma), = jumps
+    sm = lindblad.atom_op(space, sigma_minus())
+    monkeypatch.setattr(lindblad, "PRODUCT_CHARGE", 0)  # factored by the count
+
+    def form(jumps, V):
+        L = build_liouvillian(H, jumps, (coeff, V))
+        return L.form, L.products
+
+    assert form(jumps, V) == ("factored", 3)
+    # equal entry for entry, however V was assembled
+    assert form(jumps, sp.csr_matrix(V.toarray())) == ("factored", 3)
+    # the first jump equal to V+, not only the first jump
+    assert form([(sm, 0.3), (A, gamma)], V) == ("factored", 5)
+    # V+ = 2A and V+ = A+ are no kept jump, and neither is A at rate 0
+    assert form(jumps, 2.0 * V) == ("fused", 1)
+    assert form(jumps, A) == ("fused", 1)
+    assert form([(A, 0.0), (2.0 * A, gamma)], V) == ("fused", 1)
+    assert form(jumps, lindblad.atom_op(space, sigma_plus())) == ("fused", 1)
+    # folded into the second of two jumps, Heff(t) x is the fused one's
+    two = [(sm, 0.3), (A, gamma)]
+    factored = build_liouvillian(H, two, (coeff, V))
+    monkeypatch.setattr(lindblad, "PRODUCT_CHARGE", 10**9)
+    fused = build_liouvillian(H, two, (coeff, V))
+    x = np.random.default_rng(13).normal(size=(H.shape[0], 3)).astype(complex)
+    ref = fused.heff(spec.t0, x)
+    assert np.max(np.abs(factored.heff(spec.t0, x) - ref)) <= 1e-13 * np.max(np.abs(ref))

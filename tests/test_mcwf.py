@@ -302,11 +302,13 @@ def _wide_pulse_problem(seed):
 def test_trajectory_is_bitwise_independent_of_its_block_mates(monkeypatch, problem, width):
     # every jumping trajectory in one block, against blocks of `width`
     # columns: the same jumps and the same observables, bit for bit, on
-    # either form of Heff(t)
+    # either form of Heff(t), the factored one with the pulse folded into
+    # the loss channel (three products)
     kwargs = problem(seed=3)
     whole = mcwf_evolve(**kwargs)
-    form = "factored" if problem is _wide_pulse_problem else "fused"
-    assert whole.meta["generator"]["form"] == form
+    wide = problem is _wide_pulse_problem
+    generator = whole.meta["generator"]
+    assert (generator["form"], generator["products"]) == (("factored", 3) if wide else ("fused", 1))
     monkeypatch.setattr(mcwf, "BLOCK_BYTES", width * 16 * len(kwargs["psi0"]))
     split = mcwf_evolve(**kwargs)
     assert whole.meta["n_jumping_trajectories"] > 2 * width
