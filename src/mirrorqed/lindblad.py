@@ -4,11 +4,11 @@ The Lindblad generator acts on the d x d density matrix itself, through the
 sparse effective Hamiltonian and jump operators (``Liouvillian``); the
 d^2 x d^2 superoperator is never formed, neither for time evolution nor for
 steady states.  A coherent drive is one ``_Drive``, which holds c(t), V and
-V+ and the floor below which it is left out; the generator is one subclass
-per form of Heff(t) x, fused (one product) or factored (one per term, with
-the drive folded into the loss channel it enters by).  Every sparse product
-on a dense operand is ``hilbert.csr_dot``, scipy's kernel without the
-dispatch of ``@``.
+V+ and the floor below which it is left out.  The generator applies
+Heff(t) x as one sparse product per term: on Heff alone (fused), or on H,
+each jump and its adjoint, with the drive riding on the loss channel it
+enters by (factored).  Every sparse product on a dense operand is
+``hilbert.csr_dot``, scipy's kernel without the dispatch of ``@``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.linalg import get_lapack_funcs, schur
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import LinearOperator, eigs
 
 from .hilbert import CompositeSpace, as_csr, csr_dot, sigma_x
@@ -112,8 +113,27 @@ def build_jump_ops(
 
 
 def _require_hermitian(M, what: str) -> None:
-    scale = max(1.0, float(abs(M).max()))
-    if float(abs(M - M.conj().T).max()) >= HERMITICITY_TOL * scale:
+    """Reject M unless max|M - M+| < HERMITICITY_TOL max(1, max|M|).
+
+    A CSR M is read from its stored entries.  M+ is transposed into CSR
+    arrays by the kernel of scipy's CSR -> CSC conversion; where they store
+    the keys M stores, M - M+ is M.data - conj(M+.data) entry for entry, and
+    any other M is compared as a sparse difference.
+    """
+    if sp.issparse(M):
+        data = M.data
+        tp = np.empty(M.shape[1] + 1, dtype=M.indptr.dtype)
+        ti, tx = np.empty_like(M.indices), np.empty_like(data)
+        _sparsetools.csr_tocsc(*M.shape, M.indptr, M.indices, data, tp, ti, tx)
+        same_keys = np.array_equal(tp, M.indptr) and np.array_equal(ti, M.indices)
+        if M.has_canonical_format and same_keys:
+            asym = data - tx.conj()
+        else:
+            asym = (M - sp.csr_matrix((tx.conj(), ti, tp), shape=M.shape[::-1])).data
+    else:
+        data, asym = M, M - M.conj().T
+    scale = max(1.0, float(np.abs(data).max(initial=0.0)))
+    if float(np.abs(asym).max(initial=0.0)) >= HERMITICITY_TOL * scale:
         raise NonHermitianError(f"{what} is not Hermitian")
 
 
@@ -142,22 +162,64 @@ class Liouvillian:
     """Lindblad generator of H, its jumps and an optional drive.
 
     Heff = H - (i/2) sum_k rate_k J_k+ J_k; jumps are the (CSR op, rate > 0)
-    pairs; the drive, if any, adds c(t) V + conj(c(t)) V+ to H.  A subclass
-    per ``form``, which ``build_liouvillian`` chooses, gives ``heff(t, x)``,
-    Heff(t) x for a vector, a dim x B block or a d x d matrix (the drive left
-    out below its floor), the drive-free ``Heff`` as one CSR, and ``nnz``,
-    the entries its operators and the jumps store, and ``products``, the
-    sparse products one ``heff`` takes with the drive on.  Every product is a
-    ``csr_dot``.  For Hermitian rho,
+    pairs; the drive, if any, adds c(t) V + conj(c(t)) V+ to H.  ``heff(t, x)``
+    is Heff(t) x for a vector, a dim x B block or a d x d matrix, one
+    ``csr_dot`` per term on operators that never change, added into one
+    output:
+
+        Heff(t) x = H0 x + sum_k (-i rate_k/2) J_k+ (J_k x) + c V x + conj(c) V+ x
+
+    the sum over the jumps in ``loss``.  "fused": H0 is Heff, with no loss
+    terms and no drive, one product.  "factored": H0 is H and the loss is
+    applied through the jumps, so no matrix stores the coupling of every
+    pair of modes that J_k+ J_k makes.  Where V+ is the loss's jump J_k, the
+    channel block A leaks into, the pulse enters by it and, with u = J_k x,
+    rides on that jump's two products:
+    (-i rate_k/2) J_k+ u + c J_k+ x + conj(c) u = (-i rate_k/2) J_k+ (u + c' x) + conj(c) u
+    with c' = c / (-i rate_k/2); any other drive takes V and V+ as two
+    products of its own.  Below its floor the drive is left out.  ``Heff``
+    is the drive-free Heff as one CSR (built anew on each access where the
+    loss is factored), ``nnz`` the entries the operators and the jumps
+    store, ``products`` the products one ``heff`` takes with the drive on.
+    For Hermitian rho,
     L(rho) = -i(B - B+) + sum_k rate_k J_k rho J_k+ with B = Heff(t) rho,
     since rho Heff(t)+ = (Heff(t) rho)+.
     """
 
-    form: str
-    products: int
+    def __init__(self, H0: sp.csr_matrix, jumps: tuple, loss: tuple, drive: _Drive | None):
+        self.jumps, self._H0, self._drive = jumps, H0, drive
+        # (J, -(i rate/2), -(i rate/2) J+): the adjoint stored scaled, as its own CSR
+        self._loss = []
+        for J, rate in loss:
+            scale = -0.5j * float(rate)
+            self._loss.append((J, scale, scale * J.conj().T.tocsr()))
+        self._fold = _drive_channel(drive, loss)
+        self._unfolded = drive is not None and self._fold is None
+        self.products = 1 + 2 * len(loss) + 2 * self._unfolded
+        self.form = "fused" if self.products == 1 else "factored"
+        ops = [H0, *(J for J, _ in jumps), *(Jd for _, _, Jd in self._loss)]
+        if self._unfolded:
+            ops += [drive.V, drive.Vd]
+        self.nnz = sum(op.nnz for op in ops)
 
-    def __init__(self, jumps: tuple, drive: _Drive | None):
-        self.jumps, self._drive = jumps, drive
+    @property
+    def Heff(self) -> sp.csr_matrix:
+        return _effective_hamiltonian(self._H0, self.jumps) if self._loss else self._H0
+
+    def heff(self, t: float, x: np.ndarray) -> np.ndarray:
+        c = None if self._drive is None else self._drive.at(t)
+        y = csr_dot(self._H0, x)
+        for k, (J, scale, Jd) in enumerate(self._loss):
+            u = csr_dot(J, x)
+            if c is not None and k == self._fold:
+                csr_dot(Jd, u + (c / scale) * x, out=y)
+                y += np.conj(c) * u
+            else:
+                csr_dot(Jd, u, out=y)
+        if c is not None and self._unfolded:
+            csr_dot(self._drive.V, c * x, out=y)
+            csr_dot(self._drive.Vd, np.conj(c) * x, out=y)
+        return y
 
     def apply(self, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
         """L(rho) at time t, for Hermitian rho."""
@@ -169,114 +231,27 @@ class Liouvillian:
         return out
 
 
-class _Fused(Liouvillian):
-    """Heff(t) x as one sparse product: Heff, or with a drive one CSR on the
-    union of the Heff, V and V+ patterns.
-
-    Only the union's entries where V or V+ store depend on t; they are
-    rewritten to a + c b + conj(c) d, with a, b and d the values Heff, V and
-    V+ store there, whenever c(t) changes.
-    """
-
-    form = "fused"
-    products = 1
-
-    def __init__(self, Heff: sp.csr_matrix, jumps: tuple, drive: _Drive | None):
-        super().__init__(jumps, drive)
-        self.Heff = Heff
-        if drive is None:
-            return
-        d = Heff.shape[0]
-        h, v, vd = Heff.tocoo(), drive.V.tocoo(), drive.Vd.tocoo()
-        # COO -> CSR sums the duplicate keys and keeps the drive's explicit zeros
-        data = np.concatenate([h.data, np.zeros(v.nnz + vd.nnz, dtype=complex)])
-        rows, cols = (np.concatenate([getattr(m, a) for m in (h, v, vd)]) for a in ("row", "col"))
-        self._op = sp.csr_matrix((data, (rows, cols)), shape=Heff.shape)
-        keys = [m.row.astype(np.int64) * d + m.col for m in (v, vd)]
-        d_keys = np.unique(np.concatenate(keys))
-        u_keys = np.repeat(np.arange(d, dtype=np.int64) * d, np.diff(self._op.indptr))
-        self._pos = np.searchsorted(u_keys + self._op.indices, d_keys)
-        self._a = self._op.data[self._pos]  # Heff's values there, or 0
-        self._b, self._d = np.zeros((2, len(d_keys)), dtype=complex)
-        for vals, k, m in zip((self._b, self._d), keys, (v, vd)):
-            np.add.at(vals, np.searchsorted(d_keys, k), m.data)
-        self._c = None  # the c the union's drive entries hold
-
-    @property
-    def nnz(self) -> int:
-        return self.Heff.nnz + sum(op.nnz for op, _ in self.jumps)
-
-    def heff(self, t: float, x: np.ndarray) -> np.ndarray:
-        c = None if self._drive is None else self._drive.at(t)
-        if c is None:
-            return csr_dot(self.Heff, x)
-        if c != self._c:
-            self._op.data[self._pos] = self._a + c * self._b + np.conj(c) * self._d
-            self._c = c
-        return csr_dot(self._op, x)
-
-
-class _Factored(Liouvillian):
-    """Heff(t) x as H x + sum_k (-i rate_k/2) J_k+ (J_k x) + c V x + conj(c) V+ x.
-
-    Each term is a sparse product on operators that never change, added into
-    one output (``csr_dot(..., out=y)``): the loss is applied through the
-    jumps themselves, so no matrix stores the coupling of every pair of modes
-    that J_k+ J_k makes, and c(t) scales a vector instead of rewriting
-    entries.  A drive's V+ is the kept jump J_k with index ``fold``: the
-    channel the pulse enters by is the one block A leaks into, and with
-    u = J_k x the drive rides on that jump's two products:
-    (-i rate_k/2) J_k+ u + c J_k+ x + conj(c) u = (-i rate_k/2) J_k+ (u + c' x) + conj(c) u
-    with c' = c / (-i rate_k/2).  ``Heff`` builds the fused CSR anew on each
-    access.
-    """
-
-    form = "factored"
-
-    def __init__(self, H: sp.csr_matrix, jumps: tuple, drive: _Drive | None, fold: int | None):
-        super().__init__(jumps, drive)
-        self.H, self._fold = H, fold
-        # (J, -(i rate/2), -(i rate/2) J+): the adjoint stored scaled, as its own CSR
-        self._loss = []
-        for J, rate in jumps:
-            scale = -0.5j * float(rate)
-            self._loss.append((J, scale, scale * J.conj().T.tocsr()))
-        self.products = 1 + 2 * len(jumps)
-
-    @property
-    def Heff(self) -> sp.csr_matrix:
-        return _effective_hamiltonian(self.H, self.jumps)
-
-    @property
-    def nnz(self) -> int:
-        return self.H.nnz + sum(Jd.nnz + J.nnz for J, _, Jd in self._loss)
-
-    def heff(self, t: float, x: np.ndarray) -> np.ndarray:
-        c = None if self._drive is None else self._drive.at(t)
-        y = csr_dot(self.H, x)
-        for k, (J, scale, Jd) in enumerate(self._loss):
-            u = csr_dot(J, x)
-            if c is not None and k == self._fold:
-                csr_dot(Jd, u + (c / scale) * x, out=y)
-                y += np.conj(c) * u
-            else:
-                csr_dot(Jd, u, out=y)
-        return y
-
-
-# The fixed cost of one sparse product, in stored entries.  Measured on a
-# 2-vCPU Xeon (one BLAS thread, scipy 1.17), Heff(t) x with the drive on took
-# 36 us fused and 48 us factored at dim 343 (6,511 against 4,892 entries in
-# 1 against 5 products), and 119 against 56 us at dim 952 (41,510 against
-# 14,110).  Fitting a cost per product and per entry to each pair gives
-# 3.3-5.1 us against 2.8-4.7 ns, so a product costs what 1,100-1,200 entries
-# do.  1500 leans to the fused form, one product, where the two are close.
-# The fit predates ``csr_dot``: each product then also paid scipy's dispatch
-# of ``@``, and the factored form applied the drive through V and V+ even
-# where it now rides on the loss's products.  The rule below still counts
-# those two products; counted folded, dim 343 would turn factored (1,472 +
-# 2 x 855 + 3 x 1,500 = 7,682 against 8,011 fused) and its trajectories'
-# rounding would move.
+# The fixed cost of one sparse product, in stored entries, which
+# ``build_liouvillian`` charges per product when it weighs a drive-free Heff
+# (one product) against H and the jumps (two more per jump).  Heff x for a
+# vector, best of 7, one BLAS thread, 2-vCPU Xeon, scipy 1.17:
+#
+#   generator                        dim   fused: entries    us   factored: entries    us
+#   one excitation, N_A 7             17              255   2.3                  74   5.2
+#   one excitation, N_A 15            33            1,023   3.3                 154   5.5
+#   one excitation, N_A 31            65            4,095   7.5                 314   6.2
+#   one excitation, N_A 63           129           16,383  23.1                 634   6.9
+#   criterion-9 model, N_A 2, cap 5  343            4,801   8.7               3,182  10.9
+#   criterion-9 model, N_A 3, cap 3  156            2,506   5.5               1,258   7.7
+#   criterion-9 model, N_A 5, cap 3  442           12,056  17.6               4,110  11.9
+#   criterion-9 model, N_A 7, cap 3  952           36,950  50.2               9,550  21.1
+#
+# A cost per product and per entry fitted to the table by least squares
+# gives 1.8-2.2 us against 1.1-1.3 ns over three runs: a product costs what
+# 1,500-2,000 entries do.  Any charge from 810 (N_A 2, cap 5) to 1,890
+# (N_A 31) picks the faster form of every row.  On a d x d operand each
+# entry is read for d columns and the break-even falls: at N_A 15, 30.4 us
+# fused against 10.1 us factored puts it below 435 entries.
 PRODUCT_CHARGE = 1500
 
 
@@ -301,15 +276,12 @@ def build_liouvillian(H, jumps=(), drive=None) -> Liouvillian:
     """Generator of H with (operator, rate) jumps and a (coeff_fn, op) drive.
 
     H must be Hermitian and the rates non-negative; jumps of rate 0 are
-    dropped.  drive is the pair ``build_drive_term`` returns.  Heff(t) is
+    dropped.  drive is the pair ``build_drive_term`` returns.  A driven
+    generator is factored: the drive rides on the kept jump its V+ equals,
+    or takes V and V+ as products of its own.  Without a drive, Heff is
     applied in the cheaper form, by entries read plus PRODUCT_CHARGE per
-    product: fused, one product on Heff or on its union with V and V+, or
-    factored, H, J_k and J_k+ for each jump, and V and V+, each once.  The
-    union is counted as Heff + V + V+, exact where they share no entry, as
-    for a drive that changes the excitation number that Heff conserves.
-    The factored form applies a drive only through the kept jump its V+
-    equals (``_Factored``), skipping V and V+, which the count leaves in; a
-    drive with no such jump is applied fused.
+    product: fused, one product on Heff, or factored, H and J_k and J_k+
+    for each jump.
     """
     H = as_csr(H)
     _require_hermitian(H, "Hamiltonian")
@@ -319,17 +291,9 @@ def build_liouvillian(H, jumps=(), drive=None) -> Liouvillian:
     Heff = _effective_hamiltonian(H, kept)
     if drive is not None:
         drive = _Drive(drive[0], as_csr(drive[1]), Heff)
-    drive_nnz = 0 if drive is None else 2 * drive.V.nnz
-    fused = Heff.nnz + drive_nnz + PRODUCT_CHARGE
-    products = 1 + 2 * len(kept) + (0 if drive is None else 2)
-    factored = (
-        H.nnz + 2 * sum(J.nnz for J, _ in kept) + drive_nnz + PRODUCT_CHARGE * products
-    )
-    if fused > factored:
-        fold = _drive_channel(drive, kept)
-        if drive is None or fold is not None:
-            return _Factored(H, kept, drive, fold)
-    return _Fused(Heff, kept, drive)
+    elif Heff.nnz <= H.nnz + 2 * sum(J.nnz + PRODUCT_CHARGE for J, _ in kept):
+        return Liouvillian(Heff, kept, (), None)
+    return Liouvillian(H, kept, kept, drive)
 
 
 def expectation(op, rho: np.ndarray) -> complex:
@@ -431,7 +395,9 @@ def steady_state(H, jumps=()) -> np.ndarray:
     rho = 0.5 * (rho + rho.conj().T)
 
     # bounds the largest entry of the vectorized generator
-    scale = 2.0 * abs(Heff).max() + sum(r * abs(op).max() ** 2 for op, r in jumps)
+    scale = 2.0 * np.abs(Heff.data).max(initial=0.0) + sum(
+        r * np.abs(op.data).max(initial=0.0) ** 2 for op, r in jumps
+    )
     resid = float(np.max(np.abs(L.apply(rho))))
     if resid > TRACE_NULL_TOL * scale:
         raise NonUniqueSteadyStateError(

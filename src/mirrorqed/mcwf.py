@@ -13,12 +13,10 @@ path's state at the substep boundary before its first jump.
 
 From there the jumping trajectories advance together, in lock-step over the
 substep grid, as the columns of one dim x B block.  Each RK4 stage applies
-Heff(t) to the whole block at once.  Where the generator's form is fused,
-that is one sparse product on an operator whose drive entries are rewritten
-when c(t) changes; where it is factored (large truncations, where the
-collective loss fills Heff), one product per term added into one output:
-H and each jump and its adjoint, with a pulse that enters by a loss channel
-riding on that jump's two products.  Either way c(t) is
+Heff(t) to the whole block at once, one sparse product per term added into
+one output: Heff alone where the generator is fused (no drive), or H and
+each jump and its adjoint where it is factored, with a pulse that enters by
+a loss channel riding on that jump's two products.  c(t) is
 evaluated once per stage time, three times per RK4 step, and every sparse
 product, the jumps' and the observables' included, is ``csr_dot``, scipy's
 kernel called without the dispatch of ``@``.

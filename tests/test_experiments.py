@@ -430,12 +430,12 @@ def test_decay_runs_record_their_delay_grids(tmp_path):
 
 @pytest.mark.parametrize(
     "N_A, cap, form, nnz, products",
-    [(2, 5, "fused", 5656, 1), (7, 3, "factored", 9550, 3)],
+    [(2, 5, "factored", 3182, 3), (7, 3, "factored", 9550, 3)],
 )
 def test_scattering_records_its_generator(tmp_path, N_A, cap, form, nnz, products):
-    # the criterion-9 truncation keeps Heff fused (Heff 4801 + A 855 entries,
-    # one product); at N_A 7, cap 3 the loss is factored (H 4990 + A and A+
-    # 2280 each), and the pulse rides on the products of A and A+
+    # the pulse is driven, so the loss is factored, and the pulse rides on
+    # the products of A and A+: H 1472 + A and A+ 855 each at the criterion-9
+    # truncation, H 4990 + 2280 each at N_A 7, cap 3
     _run(tmp_path, experiment="scattering", Gamma_tau=4.0, N_A=[N_A], n_max=3,
          max_excitations=cap, t_max=1.0, dt=0.05, n_traj=2, substeps=2)
     prov = json.loads((tmp_path / "provenance.json").read_text())

@@ -350,7 +350,7 @@ def test_stage_operator_is_heff_plus_the_drive_pair():
 
 
 def test_stage_operator_follows_every_change_of_time():
-    # the drive entries are rewritten only when t changes: t1, t2, t1 again
+    # c(t) is evaluated again only when t changes: t1, t2, t1 again
     L, Heff, V, coeff, spec, space = _criterion_9_generator()
     x = np.random.default_rng(8).normal(size=space.dim).astype(complex)
     t1, t2 = spec.t0, spec.t0 + 1.0 / spec.W
@@ -364,20 +364,24 @@ def test_stage_operator_follows_every_change_of_time():
     assert np.max(np.abs(L.heff(t2, x) - first)) > 0.1
 
 
-def test_drive_below_the_floor_leaves_heff_alone():
+def test_drive_below_the_floor_leaves_heff_alone(monkeypatch):
     # far in the pulse's tail c is not 0, yet |c| max|V| <= eps max|Heff|:
-    # Heff(t) x is Heff x bit for bit, also where Heff x is exactly 0 (the
-    # vacuum, which Heff leaves alone and V would excite)
+    # Heff(t) x is the undriven generator's bit for bit, also on the vacuum,
+    # which Heff leaves alone and V would excite
     L, Heff, V, coeff, spec, space = _criterion_9_generator()
     t = spec.t0 + 14.0 / spec.W  # 7.6 / Gamma on the 12 / Gamma grid
     c = coeff(t)
     assert c != 0.0
     assert abs(c) * np.abs(V.data).max() <= np.finfo(float).eps * np.abs(Heff.data).max()
+    H, jumps, *_ = _pulse_generator_parts(2, 5)
+    monkeypatch.setattr(lindblad, "PRODUCT_CHARGE", 0)  # factored without the drive too
+    undriven = build_liouvillian(H, jumps)
+    assert undriven.form == L.form == "factored"
     vac = space.vacuum().astype(complex)
-    assert not np.any(Heff @ vac)
+    assert not np.any(L.heff(t, vac))
     block = np.random.default_rng(9).normal(size=(space.dim, 3)).astype(complex)
     for x in (vac, block):
-        assert L.heff(t, x).tobytes() == (Heff @ x).tobytes()
+        assert L.heff(t, x).tobytes() == undriven.heff(t, x).tobytes()
 
 
 def _overlapping_parts(rng, d=30):
@@ -397,47 +401,15 @@ def test_stage_operator_where_heff_and_the_drive_share_entries():
     d = 30
     H, J, (coeff, V) = _overlapping_parts(rng, d)
     L = build_liouvillian(H, [(J, 0.3)], (coeff, V))
+    # V+ is no jump: V and V+ are two products of their own
+    assert (L.form, L.products) == ("factored", 5)
     x = rng.normal(size=(d, 4)) + 1j * rng.normal(size=(d, 4))
     for t in (0.5, 1.3, 0.5):
         ref = _heff_reference(L.Heff, as_csr(V), coeff(t), x)
         assert np.max(np.abs(L.heff(t, x) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def _keys(M):
-    """Row-major keys row * d + col of the entries M stores, explicit zeros included."""
-    M = M.tocsr()
-    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-    return rows * M.shape[1] + M.indices
-
-
-def test_fused_union_stores_the_three_patterns_once(monkeypatch):
-    # one CSR on the union of the Heff, V and V+ patterns, sorted, where
-    # entries the drive alone stores are kept as explicit zeros until the
-    # first rewrite; at time t it holds Heff + c V + conj(c) V+ entry for entry
-    # (to rounding: numpy's c * b and scipy's b * c may differ in the last bit)
-    H, J, (coeff, V) = _overlapping_parts(np.random.default_rng(10))
-    monkeypatch.setattr(lindblad, "PRODUCT_CHARGE", 10**9)
-    L = build_liouvillian(H, [(J, 0.3)], (coeff, V))
-    assert L.form == "fused"
-    V = as_csr(V)
-    Vd = V.conj().T.tocsr()
-    union = np.unique(np.concatenate([_keys(M) for M in (L.Heff, V, Vd)]))
-    keys = _keys(L._op)
-    assert np.array_equal(keys, union)
-    assert len(np.setdiff1d(_keys(V), _keys(L.Heff))) > 0
-    drive_only = np.isin(keys, np.setdiff1d(union, _keys(L.Heff)))
-    assert drive_only.any() and not np.any(L._op.data[drive_only])
-    x = np.ones(H.shape[0], dtype=complex)
-    for t in (0.5, 1.3):
-        L.heff(t, x)
-        c = coeff(t)
-        ref = (L.Heff + c * V + np.conj(c) * Vd).toarray().reshape(-1)[keys]
-        tol = 4 * np.finfo(float).eps * np.abs(ref).max()
-        np.testing.assert_allclose(L._op.data, ref, rtol=0, atol=tol)
-
-
-@pytest.mark.parametrize("charge, form", [(10**9, "fused"), (0, "factored")])
-def test_rk4_step_evaluates_the_coefficient_once_per_stage_time(monkeypatch, charge, form):
+def test_rk4_step_evaluates_the_coefficient_once_per_stage_time():
     # k2 and k3 share t + h/2: three calls, at t, t + h/2 and t + h
     H, jumps, (coeff, V), spec, space = _pulse_generator_parts(2, 5)
     calls = []
@@ -446,9 +418,8 @@ def test_rk4_step_evaluates_the_coefficient_once_per_stage_time(monkeypatch, cha
         calls.append(t)
         return coeff(t)
 
-    monkeypatch.setattr(lindblad, "PRODUCT_CHARGE", charge)
     L = build_liouvillian(H, jumps, (counted, V))
-    assert L.form == form
+    assert L.form == "factored"
     prob = mcwf._Problem(L=L, jump_ops=[], e_ops={}, leak_diag=None,
                          t_grid=np.array([0.0, 1.0]), h=0.25, n_sub=4)
     t, h = spec.t0, 0.01
@@ -457,74 +428,91 @@ def test_rk4_step_evaluates_the_coefficient_once_per_stage_time(monkeypatch, cha
     assert calls == [t, t + 0.5 * h, t + h]
 
 
-def test_heff_form_is_chosen_by_stored_entries():
-    # at the criterion-9 truncation (dim 343) one product on Heff and the
-    # drive is cheaper; at N_A 7, cap 3 (dim 952) the loss's mode pairs make
-    # Heff store 36,950 entries against H's 4,990 and A's 2,280
-    H, jumps, drive, _, _ = _pulse_generator_parts(2, 5)
-    (J, _), = jumps
-    L = build_liouvillian(H, jumps, drive)
-    assert L.form == "fused"
-    assert L.nnz == L.Heff.nnz + J.nnz == 5656
-    H, jumps, drive, _, _ = _pulse_generator_parts(7, 3)
-    (J, _), = jumps
-    L = build_liouvillian(H, jumps, drive)
-    assert L.form == "factored"
-    assert L.nnz == H.nnz + 2 * J.nnz == 9550  # H, J and the scaled J+
-    assert L.Heff.nnz == 36950
-    # the pulse's V+ is the loss's A: H, A and A+ only
-    assert L.products == 3
+def test_heff_form_is_chosen_by_stored_entries(monkeypatch):
+    # a driven generator is factored: at the criterion-9 truncation (dim
+    # 343) and at N_A 7, cap 3 (dim 952) the pulse's V+ is the loss's A, so
+    # the products are H, A and A+ only
+    for (N_A, cap), nnz in (((2, 5), 3182), ((7, 3), 9550)):
+        H, jumps, drive, _, _ = _pulse_generator_parts(N_A, cap)
+        (J, _), = jumps
+        L = build_liouvillian(H, jumps, drive)
+        assert (L.form, L.products) == ("factored", 3)
+        assert L.nnz == H.nnz + 2 * J.nnz == nnz  # H, J and the scaled J+
+    # without the drive the entries decide: at dim 343 Heff's 4,801 in one
+    # product against H's 1,472 and A's 855 twice in three; at dim 952 the
+    # loss's mode pairs make Heff store 36,950 against H's 4,990 and A's 2,280
+    H, jumps, _, _, _ = _pulse_generator_parts(2, 5)
+    L = build_liouvillian(H, jumps)
+    assert (L.form, L.products, L.Heff.nnz, L.nnz) == ("fused", 1, 4801, 4801 + 855)
+    H, jumps, _, _, _ = _pulse_generator_parts(7, 3)
+    L = build_liouvillian(H, jumps)
+    assert (L.form, L.products, L.Heff.nnz, L.nnz) == ("factored", 3, 36950, 9550)
+    # criterion 8's generator (dim 7) is fused at any charge
+    params = params_from_dimensionless(0.25, math.pi)
+    model = build_effective_model(params, snap_block_length(params, 1.0), 0)
+    space = space_for_model(model, n_max=3, max_excitations=3)
+    drive = DriveDissipationSpec(Omega_D=2.0 * params.Gamma, gamma=model.gamma)
+    H = build_hamiltonian(model, drive, space)
+    jumps = build_jump_ops(model, drive, space)
+    monkeypatch.setattr(lindblad, "PRODUCT_CHARGE", 0)
+    L = build_liouvillian(H, jumps)
+    assert (space.dim, L.form, L.products) == (7, "fused", 1)
+
+
+def _dense_heff(L, V, c):
+    """(Heff + c V + conj(c) V+) as a dense array, from L's drive-free Heff."""
+    V = as_csr(V).toarray()
+    return L.Heff.toarray() + c * V + np.conj(c) * V.conj().T
 
 
 @pytest.mark.parametrize("case", ["drive on", "drive below the floor", "no drive"])
-def test_factored_heff_agrees_with_the_fused_one(monkeypatch, case):
-    """Heff(t) x and L(rho) of the N_A 7, cap 3 generator, both forms.
+def test_factored_heff_matches_the_dense_reference(case):
+    """Heff(t) x and L(rho) of the N_A 7, cap 3 generator against dense arithmetic.
 
-    N_A 7, cap 3 (dim 952) takes the factored form, with the scattering
-    pulse (V = A+ = J+) riding on the loss's products; a prohibitive charge
-    per product forces the same generator fused.
+    N_A 7, cap 3 (dim 952) is factored with or without the drive, and the
+    scattering pulse (V = A+ = J+) rides on the loss's products.
     """
     H, jumps, (coeff, V), spec, _ = _pulse_generator_parts(7, 3)
     t = spec.t0 + (14.0 / spec.W if case == "drive below the floor" else 0.0)
     drive = None if case == "no drive" else (coeff, V)
-    factored = build_liouvillian(H, jumps, drive)
-    monkeypatch.setattr(lindblad, "PRODUCT_CHARGE", 10**9)
-    fused = build_liouvillian(H, jumps, drive)
-    assert (factored.form, fused.form) == ("factored", "fused")
-    assert (factored.products, fused.products) == (3, 1)
-    assert _same_csr(factored.Heff, fused.Heff)
-    floor = np.finfo(float).eps * np.abs(fused.Heff.data).max()
+    L = build_liouvillian(H, jumps, drive)
+    assert (L.form, L.products) == ("factored", 3)
+    c = 0.0 if drive is None else coeff(t)
+    floor = np.finfo(float).eps * np.abs(L.Heff.data).max()
     if case == "drive on":
-        assert abs(coeff(t)) * np.abs(V.data).max() > 0.1
+        assert abs(c) * np.abs(V.data).max() > 0.1
     elif case == "drive below the floor":
-        assert 0.0 < abs(coeff(t)) * np.abs(V.data).max() <= floor
+        assert 0.0 < abs(c) * np.abs(V.data).max() <= floor
+    Ht = _dense_heff(L, V, c)
     rng = np.random.default_rng(12)
     d = H.shape[0]
     block = rng.normal(size=(d, 5)) + 1j * rng.normal(size=(d, 5))
     for x in (block[:, 0].copy(), block):
-        ref = fused.heff(t, x)
-        assert np.max(np.abs(factored.heff(t, x) - ref)) <= 1e-13 * np.max(np.abs(ref))
+        ref = Ht @ x
+        assert np.max(np.abs(L.heff(t, x) - ref)) <= 1e-13 * np.max(np.abs(ref))
     M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = (M + M.conj().T) / (2 * d)
-    ref = fused.apply(rho, t)
-    assert np.max(np.abs(factored.apply(rho, t) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    B = Ht @ rho
+    ref = -1j * (B - B.conj().T) + sum(r * (J @ rho @ J.conj().T) for J, r in jumps)
+    assert np.max(np.abs(L.apply(rho, t) - ref)) <= 1e-13 * np.max(np.abs(ref))
     if case == "drive below the floor":
         # the drive's terms are skipped, not added as rounding
-        monkeypatch.undo()
         undriven = build_liouvillian(H, jumps)
-        assert factored.heff(t, block).tobytes() == undriven.heff(t, block).tobytes()
+        assert L.heff(t, block).tobytes() == undriven.heff(t, block).tobytes()
 
 
-def test_drive_is_folded_exactly_where_its_adjoint_is_a_kept_jump(monkeypatch):
-    # the factored form takes a drive only through a kept jump equal to its
-    # V+; any other drive is applied fused, whatever the entries say
+def test_drive_is_folded_exactly_where_its_adjoint_is_a_kept_jump():
+    # a drive rides on the products of a kept jump equal to its V+; any
+    # other drive takes V and V+ as two products of its own
     H, jumps, (coeff, V), spec, space = _pulse_generator_parts(7, 3)
     (A, gamma), = jumps
     sm = lindblad.atom_op(space, sigma_minus())
-    monkeypatch.setattr(lindblad, "PRODUCT_CHARGE", 0)  # factored by the count
+    x = np.random.default_rng(13).normal(size=(H.shape[0], 3)).astype(complex)
 
     def form(jumps, V):
         L = build_liouvillian(H, jumps, (coeff, V))
+        ref = _dense_heff(L, V, coeff(spec.t0)) @ x
+        assert np.max(np.abs(L.heff(spec.t0, x) - ref)) <= 1e-13 * np.max(np.abs(ref))
         return L.form, L.products
 
     assert form(jumps, V) == ("factored", 3)
@@ -533,15 +521,48 @@ def test_drive_is_folded_exactly_where_its_adjoint_is_a_kept_jump(monkeypatch):
     # the first jump equal to V+, not only the first jump
     assert form([(sm, 0.3), (A, gamma)], V) == ("factored", 5)
     # V+ = 2A and V+ = A+ are no kept jump, and neither is A at rate 0
-    assert form(jumps, 2.0 * V) == ("fused", 1)
-    assert form(jumps, A) == ("fused", 1)
-    assert form([(A, 0.0), (2.0 * A, gamma)], V) == ("fused", 1)
-    assert form(jumps, lindblad.atom_op(space, sigma_plus())) == ("fused", 1)
-    # folded into the second of two jumps, Heff(t) x is the fused one's
-    two = [(sm, 0.3), (A, gamma)]
-    factored = build_liouvillian(H, two, (coeff, V))
-    monkeypatch.setattr(lindblad, "PRODUCT_CHARGE", 10**9)
-    fused = build_liouvillian(H, two, (coeff, V))
-    x = np.random.default_rng(13).normal(size=(H.shape[0], 3)).astype(complex)
-    ref = fused.heff(spec.t0, x)
-    assert np.max(np.abs(factored.heff(spec.t0, x) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert form(jumps, 2.0 * V) == ("factored", 5)
+    assert form(jumps, A) == ("factored", 5)
+    assert form([(A, 0.0), (2.0 * A, gamma)], V) == ("factored", 5)
+    assert form(jumps, lindblad.atom_op(space, sigma_plus())) == ("factored", 5)
+
+
+def test_hermiticity_is_read_from_stored_entries():
+    # an entry off by 1e-11 of the largest is rejected and one off by 1e-13
+    # accepted (tolerance 1e-12), with M stored canonically or with split
+    # duplicates; explicit zeros where M+ stores nothing, and no entries at
+    # all, are Hermitian
+    H, *_ = _pulse_generator_parts(2, 5)
+    d, scale = H.shape[0], np.abs(H.data).max()
+    assert scale > 1.0
+    coo = H.tocoo()
+    k = int(np.flatnonzero(coo.row != coo.col)[0])
+
+    def shifted(by, split):
+        data = coo.data.copy()
+        data[k] += by * scale
+        M = sp.csr_matrix((data, (coo.row, coo.col)), shape=H.shape)
+        if split:
+            # every entry stored twice, a quarter first above the diagonal
+            # and three quarters first below it: a CSR that is not canonical,
+            # whose duplicates pair up with M+'s only once summed
+            rows = np.repeat(np.arange(d), np.diff(M.indptr))
+            w = np.where(rows < M.indices, 0.25, 0.75)
+            parts = np.stack([w * M.data, (1 - w) * M.data], axis=1).ravel()
+            M = sp.csr_matrix((parts, np.repeat(M.indices, 2), 2 * M.indptr), shape=H.shape)
+            assert not M.has_canonical_format
+        return M
+
+    for split in (False, True):
+        build_liouvillian(shifted(1e-13, split))
+        with pytest.raises(NonHermitianError):
+            build_liouvillian(shifted(1e-11, split))
+    free = ~np.eye(d, dtype=bool)
+    free[coo.row, coo.col] = free[coo.col, coo.row] = False
+    i, j = np.argwhere(free)[0]
+    zeros = sp.csr_matrix(
+        (np.append(coo.data, 0.0), (np.append(coo.row, i), np.append(coo.col, j))), shape=H.shape
+    )
+    assert zeros.nnz == H.nnz + 1
+    build_liouvillian(zeros)
+    build_liouvillian(sp.csr_matrix((d, d)))

@@ -118,6 +118,31 @@ def test_drive_pair_adds_the_coefficient_times_op_plus_its_conjugate():
     assert np.max(np.abs(res.observables["p"] - p_ref)) < 1e-8
 
 
+def test_drive_without_a_jump_takes_its_own_products():
+    # a qubit driven through sigma+ with no jump: Heff(t) x is H x + c V x +
+    # conj(c) V+ x, three products, and the jump-free trajectory is the
+    # master equation's pure state
+    H = 0.4 * np.diag([0.0, 1.0]).astype(complex)
+
+    def coeff(t):
+        return 0.6 * np.exp(-((t - 1.5) ** 2)) * (1.0 + 0.5j)
+
+    drive = (coeff, sigma_plus())
+    L = build_liouvillian(H, [], drive)
+    assert (L.form, L.products) == ("factored", 3)
+    t = np.linspace(0.0, 4.0, 41)
+    p = {"p": np.diag([0.0, 1.0]).astype(complex)}
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    me = integrate_me(
+        L, np.outer(psi0, psi0.conj()), t, e_ops=p, rtol=1e-10, atol=1e-12, keep_states=False
+    )
+    mc = mcwf_evolve(H, [], psi0, t, n_traj=2, seed=0, drive=drive, e_ops=p, substeps=20)
+    assert mc.meta["generator"] == {"form": "factored", "nnz": 3, "products": 3}
+    assert mc.meta["total_jumps"] == 0
+    assert me.observables["p"].max() > 0.3  # the drive flips the qubit
+    assert np.max(np.abs(mc.observables["p"] - me.observables["p"])) < 1e-7
+
+
 def test_same_seed_reproduces_bitwise():
     t = np.linspace(0, 2, 21)
     kwargs = dict(
@@ -302,13 +327,13 @@ def _wide_pulse_problem(seed):
 def test_trajectory_is_bitwise_independent_of_its_block_mates(monkeypatch, problem, width):
     # every jumping trajectory in one block, against blocks of `width`
     # columns: the same jumps and the same observables, bit for bit, on
-    # either form of Heff(t), the factored one with the pulse folded into
-    # the loss channel (three products)
+    # either form of Heff(t): fused without a drive, factored with the pulse
+    # folded into the loss channel (three products)
     kwargs = problem(seed=3)
     whole = mcwf_evolve(**kwargs)
-    wide = problem is _wide_pulse_problem
+    driven = problem is not _driven_problem  # _driven_problem's drive is in H
     generator = whole.meta["generator"]
-    assert (generator["form"], generator["products"]) == (("factored", 3) if wide else ("fused", 1))
+    assert (generator["form"], generator["products"]) == (("factored", 3) if driven else ("fused", 1))
     monkeypatch.setattr(mcwf, "BLOCK_BYTES", width * 16 * len(kwargs["psi0"]))
     split = mcwf_evolve(**kwargs)
     assert whole.meta["n_jumping_trajectories"] > 2 * width
