@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import jv
 
 from .hilbert import CompositeSpace, csr_dot
 from .results import EvolutionResult, uniform_step
@@ -153,6 +152,8 @@ def chebyshev_evolve(H, psi: np.ndarray, h: float, steps: int):
     which skips scipy's per-call dispatch of ``@``).  The record
     gives the method, the terms per step and the interval.
     """
+    from scipy.special import jv
+
     # each eigenvalue lies within some row's off-diagonal sum of its diagonal
     diag = H.diagonal().real
     radius = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(diag)

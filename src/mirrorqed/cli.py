@@ -14,6 +14,7 @@ from . import __version__
 from .experiments import (
     BACKENDS,
     EXPERIMENTS,
+    FIELDS,
     ConfigError,
     ExperimentConfig,
     TruncationAbort,
@@ -37,14 +38,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in SUBCOMMANDS:
+    for cmd, experiment in SUBCOMMANDS.items():
+        # a flag the experiment does not read is parsed, so that it exits 2
+        # naming the field, but left out of the help
+        hidden = {name for name, spec in FIELDS.items() if experiment not in spec[-1]}
         p = sub.add_parser(cmd, help=f"run the {cmd} experiment")
         p.add_argument("--config", help="YAML config file")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
+        p.add_argument(
+            "--seed", type=int,
+            help=argparse.SUPPRESS if "seed" in hidden else "RNG seed (overrides config)",
+        )
         p.add_argument(
             "--backend",
-            help=f"solver backend: {', '.join(BACKENDS[SUBCOMMANDS[cmd]])} (overrides config)",
+            help=argparse.SUPPRESS if "backend" in hidden else
+            f"solver backend: {', '.join(BACKENDS[experiment])} (overrides config)",
         )
     return parser
 
@@ -60,11 +68,11 @@ def load_config(args) -> ExperimentConfig:
             )
     else:
         config = ExperimentConfig(experiment=experiment)
-    # replace() validates the overridden config again
     flags = {"seed": args.seed, "backend": args.backend, "out_dir": args.out}
-    return dataclasses.replace(
-        config, **{k: v for k, v in flags.items() if v is not None}
-    )
+    flags = {k: v for k, v in flags.items() if v is not None}
+    config.require_read(flags, " (set by a flag)")
+    # replace() validates the overridden config again
+    return dataclasses.replace(config, **flags)
 
 
 def main(argv=None) -> int:

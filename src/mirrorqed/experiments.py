@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 import yaml
-from scipy.linalg import expm
 
 from . import __version__
 from .dde import fit_decay_rate, markovian_rate, solve_delay_ode
@@ -88,32 +87,39 @@ def _pulse(value) -> dict:
     return {key: float(value.get(key, default)) for key, default in PULSE.items()}
 
 
+# The experiments whose runner reads a field; run_experiment reads
+# output.directory for every experiment.
+_MODELLED = ("emission", "steady_sweep", "convergence", "scattering")
+_GRIDDED = ("emission", "convergence", "scattering")
+_TRUNCATED = ("steady_sweep", "scattering")
+
 # Every config field once: attribute -> (path, cast, shared default,
-# {experiment: its own default}).  Units: Gamma and 1/Gamma.
+# {experiment: its own default}, the experiments that read it).  Units:
+# Gamma and 1/Gamma.
 FIELDS = {
-    "Gamma_tau": ("physical.Gamma_tau", float, 2.0, {"purcell": 0.01}),
-    "phi": ("physical.phi", float, math.pi / 2, {}),
+    "Gamma_tau": ("physical.Gamma_tau", float, 2.0, {"purcell": 0.01}, EXPERIMENTS),
+    "phi": ("physical.phi", float, math.pi / 2, {}, _MODELLED),
     # block length over atom-mirror distance
-    "ratio": ("physical.ratio", float, 2.0, {}),
-    "N_A": ("model.N_A", _ints, [7], {"steady_sweep": [0, 1, 2]}),
-    "n_max": ("model.n_max", _int, 1, {"steady_sweep": 3, "scattering": 3}),
+    "ratio": ("physical.ratio", float, 2.0, {}, _MODELLED),
+    "N_A": ("model.N_A", _ints, [7], {"steady_sweep": [0, 1, 2]}, _MODELLED),
+    "n_max": ("model.n_max", _int, 1, {"steady_sweep": 3, "scattering": 3}, _TRUNCATED),
     "max_excitations": (
-        "model.max_excitations", _cap, 1, {"steady_sweep": 3, "scattering": 5},
+        "model.max_excitations", _cap, 1, {"steady_sweep": 3, "scattering": 5}, _TRUNCATED,
     ),
     "Omega_D": (
         "drive.Omega_D", _floats, [],
-        {"steady_sweep": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]},
+        {"steady_sweep": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]}, ("steady_sweep",),
     ),
-    "pulse": ("drive.pulse", _pulse, PULSE, {}),
-    "backend": ("solver.backend", str, "me", {"scattering": "mcwf"}),
-    "dt": ("solver.dt", float, 0.01, {}),
-    "t_max": ("solver.t_max", float, 6.0, {}),
-    "n_traj": ("solver.n_traj", _int, 1000, {}),
-    "seed": ("solver.seed", _int, 0, {}),
-    "substeps": ("solver.substeps", _int, 4, {}),
-    "sites_per_delay": ("solver.sites_per_delay", _int, 40, {}),
-    "leak_abort": ("solver.leak_abort", float, 0.05, {}),
-    "out_dir": ("output.directory", os.fspath, "runs", {}),
+    "pulse": ("drive.pulse", _pulse, PULSE, {}, ("scattering",)),
+    "backend": ("solver.backend", str, "me", {"scattering": "mcwf"}, ("emission",)),
+    "dt": ("solver.dt", float, 0.01, {}, _GRIDDED),
+    "t_max": ("solver.t_max", float, 6.0, {}, _GRIDDED),
+    "n_traj": ("solver.n_traj", _int, 1000, {}, ("scattering",)),
+    "seed": ("solver.seed", _int, 0, {}, ("scattering",)),
+    "substeps": ("solver.substeps", _int, 4, {}, ("scattering",)),
+    "sites_per_delay": ("solver.sites_per_delay", _int, 40, {}, ("emission",)),
+    "leak_abort": ("solver.leak_abort", float, 0.05, {}, ("scattering",)),
+    "out_dir": ("output.directory", os.fspath, "runs", {}, EXPERIMENTS),
 }
 _BY_PATH = {spec[0]: name for name, spec in FIELDS.items()}
 _BLOCKS = {path.split(".")[0] for path in _BY_PATH}
@@ -125,7 +131,10 @@ class ExperimentConfig:
     """One experiment's settings; a field left out takes its FIELDS default.
 
     Construction casts and validates every field, so a config either runs as
-    written or raises ConfigError naming the field's path.
+    written or raises ConfigError naming the field's path.  A config file or
+    a CLI flag may set only the fields its experiment reads
+    (``require_read``); the constructor accepts any, as ``dataclasses.replace``
+    passes every field.
     """
 
     experiment: str
@@ -151,7 +160,7 @@ class ExperimentConfig:
         exp = self.experiment
         if exp not in EXPERIMENTS:
             raise ConfigError(f"field 'experiment': {exp!r} not in {EXPERIMENTS}")
-        for name, (path, cast, default, own) in FIELDS.items():
+        for name, (path, cast, default, own, _) in FIELDS.items():
             value = getattr(self, name)
             try:
                 value = cast(own.get(exp, default) if value is _UNSET else value)
@@ -212,7 +221,9 @@ class ExperimentConfig:
                 values[_BY_PATH[path]] = value
         if "experiment" not in raw:
             raise ConfigError("missing required field 'experiment'")
-        return cls(raw["experiment"], **values)
+        config = cls(raw["experiment"], **values)
+        config.require_read(values)
+        return config
 
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":
@@ -222,12 +233,22 @@ class ExperimentConfig:
             raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
         return cls.from_dict(raw or {})
 
+    def require_read(self, names, source: str = "") -> None:
+        """Raise ConfigError on the first field of ``names`` the experiment does not read."""
+        for name in names:
+            path, *_, readers = FIELDS[name]
+            if self.experiment not in readers:
+                raise ConfigError(
+                    f"field '{path}'{source}: the {self.experiment} experiment does not read it"
+                )
+
     def resolved(self) -> dict:
-        """The config as nested blocks, every field filled in."""
+        """The config as nested blocks, every field the experiment reads filled in."""
         out = {"experiment": self.experiment}
-        for name, (path, *_) in FIELDS.items():
-            block, leaf = path.split(".")
-            out.setdefault(block, {})[leaf] = getattr(self, name)
+        for name, (path, *_, readers) in FIELDS.items():
+            if self.experiment in readers:
+                block, leaf = path.split(".")
+                out.setdefault(block, {})[leaf] = getattr(self, name)
         return out
 
 
@@ -270,6 +291,8 @@ def model_decay_curve(
 
 def _amplitude_decay(Gamma_tau, phi, ratio, N_A, t_grid):
     """(population on t_grid, sector dim) from the amplitude equations."""
+    from scipy.linalg import expm
+
     Gamma, model, space, jumps = _model_problem(Gamma_tau, phi, ratio, N_A, 1, 1)
     H = build_hamiltonian(model, DriveDissipationSpec(), space)
     h = uniform_step(np.asarray(t_grid, dtype=float) / Gamma)
@@ -380,7 +403,8 @@ def run_purcell(config: ExperimentConfig) -> tuple:
     """Short-delay decay rates: fitted vs 2*Gamma*sin^2(phi/2), per phi.
 
     The limit needs Gamma_tau < 0.1, which the config check enforces.  The
-    model runs N_A = 0 at ratio 1 whatever the config says; provenance says so.
+    model runs N_A = 0 at ratio 1 on its own phases and grids, so Gamma_tau is
+    the one field read; provenance records what ran.
     """
     Gamma_tau = config.Gamma_tau
     N_A, ratio = 0, 1.0

@@ -9,6 +9,10 @@ Heff(t) x as one sparse product per term: on Heff alone (fused), or on H,
 each jump and its adjoint, with the drive riding on the loss channel it
 enters by (factored).  Every sparse product on a dense operand is
 ``hilbert.csr_dot``, scipy's kernel without the dispatch of ``@``.
+
+Importing this module loads only numpy and ``scipy.sparse``; each solver-only
+scipy name is imported inside the function that uses it, and ``solve_ivp``
+stays a module attribute so that a caller can wrap or patch it.
 """
 
 from __future__ import annotations
@@ -18,10 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
-from scipy.linalg import get_lapack_funcs, schur
 from scipy.sparse import _sparsetools
-from scipy.sparse.linalg import LinearOperator, eigs
 
 from .hilbert import CompositeSpace, as_csr, csr_dot, sigma_x
 from .model import EffectiveModel, ParameterError
@@ -303,6 +304,13 @@ def expectation(op, rho: np.ndarray) -> complex:
     return complex(op.data @ rho[op.indices, rows])
 
 
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported at the first call (see the module docstring)."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
+
+
 def integrate_me(
     L: Liouvillian,
     rho0: np.ndarray,
@@ -366,6 +374,9 @@ def steady_state(H, jumps=()) -> np.ndarray:
     ARPACK finds K's two leading eigenvalues from a fixed-seed start, so
     repeated calls agree bitwise.
     """
+    from scipy.linalg import get_lapack_funcs, schur
+    from scipy.sparse.linalg import LinearOperator, eigs
+
     L = build_liouvillian(H, jumps)
     Heff, jumps = L.Heff, L.jumps
     d = Heff.shape[0]

@@ -35,21 +35,58 @@ def test_emission_subcommand_runs(tmp_path, capsys):
 
 
 def test_out_and_seed_overrides(tmp_path):
-    cfg = _write_config(tmp_path)
+    # scattering is the experiment that reads a seed
+    cfg = _write_config(
+        tmp_path, experiment="scattering", model={"N_A": [1], "max_excitations": 2},
+        solver={"dt": 0.1, "t_max": 1.0, "n_traj": 2},
+    )
     out = tmp_path / "elsewhere"
-    rc = cli.main(["emission", "--config", str(cfg), "--out", str(out), "--seed", "3"])
+    rc = cli.main(["scattering", "--config", str(cfg), "--out", str(out), "--seed", "3"])
     assert rc == cli.EXIT_OK
-    assert (out / "emission_dde.csv").exists()
+    assert (out / "scattering.csv").exists()
     prov = (out / "provenance.json").read_text()
     assert '"seed": 3' in prov
 
 
-@pytest.mark.parametrize("command, backend", [("purcell", "chain"), ("scattering", "me")])
+@pytest.mark.parametrize(
+    "command, flag, path",
+    [
+        ("emission", ["--seed", "3"], "solver.seed"),
+        ("steady-sweep", ["--seed", "3"], "solver.seed"),
+        ("purcell", ["--seed", "3"], "solver.seed"),
+        ("convergence", ["--backend", "me"], "solver.backend"),
+        ("purcell", ["--backend", "me"], "solver.backend"),
+        ("scattering", ["--backend", "mcwf"], "solver.backend"),
+    ],
+)
+def test_flag_the_experiment_does_not_read_is_config_error(tmp_path, capsys, command, flag, path):
+    rc = cli.main([command, *flag, "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'{path}'" in err and command.replace("-", "_") in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, backend", [("purcell", "chain"), ("scattering", "me"), ("emission", "mcwf")],
+)
 def test_backend_flag_is_validated(tmp_path, capsys, command, backend):
     rc = cli.main([command, "--backend", backend, "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
     assert "'solver.backend'" in capsys.readouterr().err
     assert not (tmp_path / "provenance.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, offered",
+    [("purcell", set()), ("steady-sweep", set()), ("emission", {"--backend"}),
+     ("scattering", {"--seed"})],
+)
+def test_help_offers_only_the_flags_the_experiment_reads(capsys, command, offered):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    out = capsys.readouterr().out
+    assert {flag for flag in ("--seed", "--backend") if flag in out} == offered
 
 
 def test_missing_config_file_is_config_error(tmp_path):

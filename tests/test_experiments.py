@@ -1,5 +1,6 @@
 """Experiment runners: configs, outputs, determinism."""
 
+import fnmatch
 import itertools
 import json
 import math
@@ -53,7 +54,7 @@ def test_config_defaults_and_rejections():
 
 def test_config_nested_round_trip(tmp_path):
     raw = {
-        "experiment": "emission",
+        "experiment": "scattering",
         "physical": {"Gamma_tau": 0.5, "phi": 3.14},
         "model": {"N_A": 3, "n_max": 1},
         "solver": {"dt": 0.02, "t_max": 4.0, "seed": 7},
@@ -131,6 +132,78 @@ def test_cli_rejects_a_config_the_run_cannot_follow(tmp_path, capsys, raw, path)
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "raw, path",
+    [
+        # purcell runs its own phases at N_A = 0, ratio 1
+        ({"experiment": "purcell", "physical": {"phi": math.pi}}, "physical.phi"),
+        ({"experiment": "purcell", "physical": {"ratio": 1.0}}, "physical.ratio"),
+        ({"experiment": "purcell", "model": {"N_A": [3]}}, "model.N_A"),
+        ({"experiment": "purcell", "solver": {"t_max": 3.0}}, "solver.t_max"),
+        # steady states have no time grid
+        ({"experiment": "steady_sweep", "solver": {"dt": 0.1}}, "solver.dt"),
+        ({"experiment": "steady_sweep", "solver": {"t_max": 3.0}}, "solver.t_max"),
+        ({"experiment": "steady_sweep", "solver": {"seed": 1}}, "solver.seed"),
+        # only scattering sends a pulse and runs trajectories
+        ({"experiment": "emission", "drive": {"pulse": {"n_ph": 0.1}}}, "drive.pulse"),
+        ({"experiment": "steady_sweep", "drive": {"pulse": None}}, "drive.pulse"),
+        ({"experiment": "convergence", "solver": {"n_traj": 10}}, "solver.n_traj"),
+        ({"experiment": "emission", "solver": {"substeps": 2}}, "solver.substeps"),
+        ({"experiment": "convergence", "solver": {"leak_abort": 0.1}}, "solver.leak_abort"),
+        # the amplitude equations run one excitation, one photon per mode
+        ({"experiment": "emission", "model": {"n_max": 2}}, "model.n_max"),
+        ({"experiment": "convergence", "model": {"max_excitations": None}},
+         "model.max_excitations"),
+        ({"experiment": "scattering", "drive": {"Omega_D": [1.0]}}, "drive.Omega_D"),
+        ({"experiment": "scattering", "solver": {"sites_per_delay": 10}},
+         "solver.sites_per_delay"),
+        ({"experiment": "convergence", "solver": {"backend": "me"}}, "solver.backend"),
+    ],
+)
+def test_cli_rejects_a_field_the_experiment_does_not_read(tmp_path, capsys, raw, path):
+    p = tmp_path / "c.yaml"
+    p.write_text(yaml.safe_dump(raw))
+    command = raw["experiment"].replace("_", "-")
+    assert cli.main([command, "--config", str(p), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'{path}'" in err and f"the {raw['experiment']} experiment" in err
+    assert sorted(tmp_path.iterdir()) == [p]
+
+
+class _ReadLog:
+    """A config that records which of its fields a runner reads."""
+
+    def __init__(self, config):
+        self.config, self.read = config, set()
+
+    def __getattr__(self, name):
+        if name in experiments.FIELDS:
+            self.read.add(name)
+        return getattr(self.config, name)
+
+
+# small settings for each experiment, one per backend
+RUNNER_SETTINGS = {
+    "emission": [dict(N_A=[1], t_max=2.0, dt=0.05),
+                 dict(backend="chain", t_max=2.0, dt=0.05, sites_per_delay=10)],
+    "convergence": [dict(N_A=[0, 1], t_max=2.0, dt=0.05)],
+    "purcell": [{}],
+    "steady_sweep": [dict(N_A=[0], Omega_D=[1.0], n_max=3, max_excitations=3)],
+    "scattering": [dict(N_A=[1], max_excitations=2, n_traj=2, t_max=1.0, dt=0.05)],
+}
+
+
+@pytest.mark.parametrize("exp", experiments.EXPERIMENTS)
+def test_fields_name_the_experiments_whose_runner_reads_them(exp):
+    read = {"out_dir"}  # run_experiment writes every experiment's output there
+    for kw in RUNNER_SETTINGS[exp]:
+        log = _ReadLog(ExperimentConfig(experiment=exp, **kw))
+        experiments.RUNNERS[exp](log)
+        read |= log.read
+    declared = {name for name, spec in experiments.FIELDS.items() if exp in spec[-1]}
+    assert read == declared
+
+
 def test_config_block_must_be_mapping():
     with pytest.raises(ConfigError, match="'physical'"):
         ExperimentConfig.from_dict({"experiment": "emission", "physical": 2.0})
@@ -187,22 +260,34 @@ def test_readme_schema_example_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     schema = re.search(r"### Config schema.*?```yaml\n(.*?)```(.*?)\n\n(\|.*?)\n\n", readme, re.S)
     shared = yaml.safe_load(schema.group(1))
-    c = ExperimentConfig.from_dict(shared)
-    assert c.experiment == "emission" and c.pulse["W"] == 2.5
-    # each experiment's row: its backends, then its own defaults as `path: value`
+    assert shared["experiment"] == "emission" and shared["drive"]["pulse"]["W"] == 2.5
+    # each experiment's row: its backends, its own defaults as `path: value`,
+    # then the fields it reads (`block.*` for a whole block)
     rows = {}
     for line in schema.group(3).splitlines()[2:]:
-        name, backends, own = (re.findall(r"`([^`]*)`", cell) for cell in line.split("|")[1:4])
-        rows[name[0]] = (tuple(backends), own)
+        name, backends, own, reads = (
+            re.findall(r"`([^`]*)`", cell) for cell in line.split("|")[1:5]
+        )
+        rows[name[0]] = (tuple(backends), own, reads)
     assert rows.keys() == set(experiments.EXPERIMENTS)
-    for exp, (backends, own) in rows.items():
+    paths = [spec[0] for spec in experiments.FIELDS.values()]
+    for exp, (backends, own, reads) in rows.items():
         assert backends == experiments.BACKENDS[exp]
-        expected = {**{k: dict(v) for k, v in shared.items() if isinstance(v, dict)}, "experiment": exp}
+        read = {p for p in paths if any(fnmatch.fnmatch(p, r) for r in reads + ["output.*"])}
+        assert read == {s[0] for s in experiments.FIELDS.values() if exp in s[-1]}, exp
+        expected = {"experiment": exp}
+        for path in read:
+            block, leaf = path.split(".")
+            expected.setdefault(block, {})[leaf] = shared[block][leaf]
         for item in own:
             ((path, value),) = yaml.safe_load(item).items()
+            assert path in read, (exp, path)
             block, leaf = path.split(".")
             expected[block][leaf] = value
-        assert ExperimentConfig(experiment=exp).resolved() == expected, exp
+        # the row's fields, at the shared values, parse to the experiment's defaults
+        c = ExperimentConfig.from_dict(expected)
+        assert c == ExperimentConfig(experiment=exp), exp
+        assert c.resolved() == expected, exp
 
 
 def test_config_bad_yaml_rejected(tmp_path):
@@ -425,7 +510,9 @@ def test_decay_runs_record_their_delay_grids(tmp_path):
     assert prov["purcell_run"] == {
         "phi": [math.pi / 2, math.pi, 3 * math.pi / 2], "N_A": 0, "ratio": 1.0,
     }
-    assert prov["config"]["model"]["N_A"] == [7]
+    # the config records only what purcell reads
+    assert prov["config"]["physical"] == {"Gamma_tau": 0.01}
+    assert "model" not in prov["config"]
 
 
 @pytest.mark.parametrize(
