@@ -597,7 +597,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> list:
         write_csv(path, columns)
     payload = {
         "config": config.resolved(),
-        "seed": config.seed,
         "version": __version__,
         "runtime_seconds": time.time() - t0,
         **extra,

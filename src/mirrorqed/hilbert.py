@@ -5,10 +5,13 @@ with the qubit first and the modes in ascending-nu order.  An optional cap on
 the total excitation number keeps single- and few-excitation problems at
 their natural dimension instead of the full Fock product.  The basis is
 unranked from a completion-count table, which also gives its dimension before
-anything is allocated, and operators on the space are lifted straight into CSR
-through the ranks of the occupations they reach.  ``csr_dot`` applies such an
-operator to a dense vector or block on scipy's own kernel, without the
-per-call dispatch of ``@``; every hot sparse product in the package uses it.
+anything is allocated.  Each state is stored as its occupied entries (state,
+factor, quanta), state by state with per-state starts, so it costs only the
+factors it occupies.  Operators are lifted straight into CSR through the ranks
+of the states they reach by moving quanta on those entries.  ``csr_dot``
+applies such an operator to a dense vector or block on scipy's own kernel,
+without the per-call dispatch of ``@``; every hot sparse product in the
+package uses it.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ class SectorSizeError(ValueError):
     """The space's tables would exceed the entry cap."""
 
 
-# Entries above which a space's occupation table (states x factors) or its
-# rank-offset table is refused, before either is allocated.
+# Entries above which a space's occupied entries (with their per-state starts)
+# or its rank-offset table are refused, before either is allocated.
 _MAX_TABLE_ENTRIES = 50_000_000
 
 
@@ -52,13 +55,15 @@ class CompositeSpace:
         self._cap = cap
         self._offset, self._count = _rank_offsets(self.factor_dims, cap)
         self.dim = int(self._count[0, cap])
-        if self.dim * self.n_factors > _MAX_TABLE_ENTRIES:
+        # a state occupies at most min(cap, factors) factors, one entry each
+        if self.dim + 3 * self.dim * min(cap, self.n_factors) > _MAX_TABLE_ENTRIES:
             raise SectorSizeError(
-                f"at least {self.dim} states of {self.n_factors} factors: the "
-                f"occupation table would exceed its cap of {_MAX_TABLE_ENTRIES} entries"
+                f"at least {self.dim} states on {self.n_factors} factors: their "
+                f"occupied entries would exceed the cap of {_MAX_TABLE_ENTRIES} values"
             )
-        # the kept occupations in lexicographic order, read off their ranks
-        self._occ = self._unrank(np.arange(self.dim))
+        # the kept states in lexicographic order, read off their ranks
+        self._state, self._factor, self._quanta = self._unrank(np.arange(self.dim))
+        self._start = np.searchsorted(self._state, np.arange(self.dim + 1))
 
     @property
     def n_factors(self) -> int:
@@ -78,7 +83,8 @@ class CompositeSpace:
         ):
             raise ValueError(f"{tuple(occ.tolist())} is not a basis state of {self!r}")
         v = np.zeros(self.dim, dtype=complex)
-        v[self._rank(occ[None])] = 1.0
+        # the vacuum has rank 0 and no entries: fill every factor from it
+        v[self._rank_moved(np.zeros(1, int), range(self.n_factors), occ[None])] = 1.0
         return v
 
     def vacuum(self, excited: bool = False) -> np.ndarray:
@@ -87,48 +93,67 @@ class CompositeSpace:
 
     def excitations(self, factors=None) -> np.ndarray:
         """Quanta each basis state holds on ``factors`` (indices; all by default)."""
-        occ = self._occ if factors is None else self._occ[:, factors]
-        return occ.sum(axis=1)
+        n = self._quanta if factors is None else self._quanta * np.isin(self._factor, factors)
+        held = np.concatenate(([0], np.cumsum(n)))
+        return held[self._start[1:]] - held[self._start[:-1]]
 
-    def _rank(self, occ: np.ndarray) -> np.ndarray:
-        """Basis indices of kept occupation rows ``occ`` (shape (m, n_factors))."""
-        rows, k = np.nonzero(occ)  # row by row, factors in order
-        return self._rank_entries(len(occ), rows, k, occ[rows, k])
+    def _rank_moved(self, states, k, dn) -> np.ndarray:
+        """Basis indices of the basis states ``states`` after moving quanta.
 
-    def _rank_entries(self, m: int, rows, k, n) -> np.ndarray:
-        """Basis indices of m kept occupations from their occupied entries.
-
-        Entry e puts n[e] quanta on factor k[e] of row rows[e], row by row with
-        the factors in order; it adds the count of kept states that agree on
-        the earlier factors and hold fewer quanta here (an empty factor adds 0).
+        ``k`` and ``dn`` broadcast to one row per state: row t adds dn[t, e]
+        quanta (of either sign) on factor k[t, e] of states[t], and the state
+        reached must be kept.  Entries and moves are summed per factor, empty
+        factors dropped, and each entry left adds the count of kept states that
+        agree on the earlier factors and hold fewer quanta on its own.
         """
+        k, dn = np.broadcast_arrays(k, dn)
+        first = self._start[states]
+        held = self._start[states + 1] - first
+        src = _ranges(first, held)
+        term = np.arange(len(states))
+        term = np.concatenate([np.repeat(term, held), np.repeat(term, k.shape[1])])
+        key = self.n_factors * term + np.concatenate([self._factor[src], k.ravel()])
+        n = np.concatenate([self._quanta[src], dn.ravel()])
+        order = np.argsort(key, kind="stable")
+        key, n = key[order], n[order]
+        start = np.flatnonzero(np.diff(key, prepend=-1))
+        key, n = key[start], np.add.reduceat(n, start)
+        key, n = key[n != 0], n[n != 0]
+        rows, k = key // self.n_factors, key % self.n_factors
         spent = np.cumsum(n) - n
         spent -= spent[np.searchsorted(rows, rows)]  # on earlier factors of the row
-        rank = np.zeros(m, dtype=np.int64)
+        rank = np.zeros(len(states), dtype=np.int64)
         np.add.at(rank, rows, self._offset[k, self._cap - spent, n])
         return rank
 
-    def _unrank(self, idx: np.ndarray) -> np.ndarray:
-        """Occupation rows of the basis indices ``idx``; inverse of ``_rank``.
+    def _unrank(self, idx: np.ndarray) -> tuple:
+        """Occupied entries (row, factor, quanta) of the basis indices ``idx``.
 
-        What is left of an index is below count[k, budget] exactly when the
-        factors before k are empty, so each round finds every row's next
-        occupied factor; its occupation is the largest n whose offset fits.
+        Row by row, factors in order.  What is left of an index is below
+        count[k, budget] exactly when the factors before k are empty, so each
+        round finds every row's next occupied factor by a search in its
+        budget's column; its occupation is the largest n whose offset fits.
         """
-        occ = np.zeros((len(idx), self.n_factors), dtype=np.int64)
         rows, rest = np.arange(len(idx)), np.array(idx, dtype=np.int64)
         budget = np.full(len(idx), self._cap)
+        ascending = self._count[::-1].T  # count[k, b] from the last k up
         levels = np.arange(1, self._offset.shape[2])
+        found = []
         while len(rows):
-            k = (self._count[:, budget] > rest).sum(axis=0) - 1
+            k = np.empty_like(rows)
+            for b in range(self._cap + 1):
+                at = budget == b
+                k[at] = self.n_factors - np.searchsorted(ascending[b], rest[at], "right")
             more = k < self.n_factors
             rows, rest, budget, k = rows[more], rest[more], budget[more], k[more]
             offsets = self._offset[k[:, None], budget[:, None], levels]
             n = (offsets <= rest[:, None]).sum(axis=1)
             rest -= self._offset[k, budget, n]
             budget -= n
-            occ[rows, k] = n
-        return occ
+            found.append((rows, k, n))
+        rows, k, n = map(np.concatenate, zip(*found))
+        order = np.argsort(rows, kind="stable")
+        return rows[order], k[order], n[order]
 
     def embed(self, local: np.ndarray, factor: int) -> sp.csr_matrix:
         """Lift a single-factor operator; identity on all other factors.
@@ -142,22 +167,13 @@ class CompositeSpace:
             raise DimensionMismatchError(
                 f"factor {factor} has dimension {d}, operator is {local.shape}"
             )
-        totals = self.excitations()
-        rows, cols, vals = [], [], []
-        for r, c in zip(*np.nonzero(local)):
-            kept = (self._occ[:, factor] == c) & (totals + (r - c) <= self._cap)
-            src = np.flatnonzero(kept)
-            target = self._occ[src]
-            target[:, factor] = r
-            rows.append(self._rank(target))
-            cols.append(src)
-            vals.append(np.full(len(src), local[r, c]))
-        if not rows:
-            return sp.csr_matrix((self.dim, self.dim), dtype=complex)
-        return sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.dim, self.dim),
-        )
+        r, c = np.nonzero(local)
+        dn = (r - c)[:, None]
+        # one term per nonzero (r, c) and state holding c quanta on the factor
+        held = self.excitations([factor]) == c[:, None]
+        e, s = np.nonzero(held & (self.excitations() + dn <= self._cap))
+        rows = self._rank_moved(s, factor, dn[e])
+        return sp.csr_matrix((local[r[e], c[e]], (rows, s)), shape=(self.dim, self.dim))
 
     def one_body(self, h) -> sp.csr_matrix:
         """Lift sum_ij h[i, j] a_i+ a_j over the modes (h is n_modes x n_modes).
@@ -172,33 +188,23 @@ class CompositeSpace:
                 f"{self.n_modes} modes, one-body matrix is {h.shape}"
             )
         h.sort_indices()
-        n = self._occ[:, 1:]
-        occ_row, occ_k = np.nonzero(self._occ)  # row by row, factors in order
         # one term per state s, occupied mode j and entry h[i, j] of column j
-        on_mode = occ_k > 0
-        s, j = occ_row[on_mode], occ_k[on_mode] - 1
+        on_mode = self._factor > 0
+        s, j, n_j = self._state[on_mode], self._factor[on_mode] - 1, self._quanta[on_mode]
         count = np.diff(h.indptr)[j]
         at = _ranges(h.indptr[j], count)
-        s, j, i, val = np.repeat(s, count), np.repeat(j, count), h.indices[at], h.data[at]
+        s, j, n_j = np.repeat(s, count), np.repeat(j, count), np.repeat(n_j, count)
+        i, val = h.indices[at], h.data[at]
+        # the quanta of s on mode i, found among its entries
+        key = self.n_factors * self._state + self._factor
+        e = np.minimum(np.searchsorted(key, self.n_factors * s + 1 + i), len(key) - 1)
+        n_i = np.where(key[e] == self.n_factors * s + 1 + i, self._quanta[e], 0)
         hop_in = (i != j).astype(np.int64)  # 0 where a_i+ a_i counts photons
-        room = n[s, i] + hop_in <= self.n_max
-        s, i, j, val, hop_in = s[room], i[room], j[room], val[room], hop_in[room]
-        # the occupations reached: term t's entries of occ[s], plus one quantum
-        # on factor 1 + i and minus one on 1 + j, merged per (t, factor)
-        first = np.searchsorted(occ_row, s)
-        held = np.searchsorted(occ_row, s, side="right") - first
-        src = _ranges(first, held)
-        t = np.arange(len(s))
-        term = np.concatenate([np.repeat(t, held), t, t])
-        key = self.n_factors * term + np.concatenate([occ_k[src], 1 + i, 1 + j])
-        dn = np.concatenate([self._occ[occ_row[src], occ_k[src]], hop_in, -hop_in])
-        order = np.argsort(key, kind="stable")
-        key, dn = key[order], dn[order]
-        start = np.flatnonzero(np.diff(key, prepend=-1))
-        key, dn = key[start], np.add.reduceat(dn, start)
-        key, dn = key[dn != 0], dn[dn != 0]
-        rows = self._rank_entries(len(s), key // self.n_factors, key % self.n_factors, dn)
-        amp = val * np.sqrt(n[s, j] * (n[s, i] + hop_in))
+        room = n_i + hop_in <= self.n_max
+        s, i, j, n_i, n_j, val, hop_in = (x[room] for x in (s, i, j, n_i, n_j, val, hop_in))
+        # the states reached: one quantum more on factor 1 + i, one fewer on 1 + j
+        rows = self._rank_moved(s, np.stack([1 + i, 1 + j], 1), np.stack([hop_in, -hop_in], 1))
+        amp = val * np.sqrt(n_j * (n_i + hop_in))
         out = sp.csr_matrix((amp, (rows, s)), shape=(self.dim, self.dim), dtype=complex)
         out.eliminate_zeros()  # diagonal terms of several modes may cancel
         return out
@@ -216,15 +222,11 @@ class CompositeSpace:
             raise DimensionMismatchError(
                 f"{self.n_modes} modes, {weights.shape} lowering weights"
             )
-        (live,) = np.nonzero(weights)
-        n = self._occ[:, 1 + live]
-        s, j = np.nonzero(n)
-        target = self._occ[s]
-        target[np.arange(len(s)), 1 + live[j]] -= 1
-        amp = weights[live[j]] * np.sqrt(n[s, j])
-        return sp.csr_matrix(
-            (amp, (self._rank(target), s)), shape=(self.dim, self.dim), dtype=complex
-        )
+        live = np.isin(self._factor, 1 + np.flatnonzero(weights))
+        s, k = self._state[live], self._factor[live]
+        rows = self._rank_moved(s, k[:, None], -1)
+        amp = weights[k - 1] * np.sqrt(self._quanta[live])
+        return sp.csr_matrix((amp, (rows, s)), shape=(self.dim, self.dim), dtype=complex)
 
     def emitter_hamiltonian(self, h, g) -> sp.csr_matrix:
         """one_body(h) + G+ sigma- + h.c. with G = lowering(g).
@@ -244,8 +246,7 @@ class CompositeSpace:
         Population here measures truncation leakage.
         """
         at_top = np.zeros(self.dim, dtype=bool)
-        if self.n_modes > 0 and self.n_max > 0:
-            at_top = self._occ[:, 1:].max(axis=1) >= self.n_max
+        at_top[self._state[(self._factor > 0) & (self._quanta >= self.n_max)]] = True
         at_cap = np.zeros(self.dim, dtype=bool)
         if self.max_excitations is not None and self.max_excitations > 0:
             at_cap = self.excitations() >= self.max_excitations
@@ -253,9 +254,9 @@ class CompositeSpace:
 
     def ptrace_qubit(self, rho: np.ndarray) -> np.ndarray:
         """Reduced 2x2 qubit state."""
-        atom = self._occ[:, 0]
+        atom = self.excitations([0])
         excited = np.flatnonzero(atom)
-        ground = self._rank(self._occ[excited] - (np.arange(self.n_factors) == 0))
+        ground = self._rank_moved(excited, 0, np.full((len(excited), 1), -1))
         pop = np.diagonal(rho)
         out = np.empty((2, 2), dtype=complex)
         out[0] = pop[atom == 0].sum(), rho[ground, excited].sum()

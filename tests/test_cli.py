@@ -1,5 +1,6 @@
 """Command-line interface: flags, exit codes, file outputs."""
 
+import json
 import math
 from pathlib import Path
 
@@ -44,8 +45,8 @@ def test_out_and_seed_overrides(tmp_path):
     rc = cli.main(["scattering", "--config", str(cfg), "--out", str(out), "--seed", "3"])
     assert rc == cli.EXIT_OK
     assert (out / "scattering.csv").exists()
-    prov = (out / "provenance.json").read_text()
-    assert '"seed": 3' in prov
+    prov = json.loads((out / "provenance.json").read_text())
+    assert prov["config"]["solver"]["seed"] == 3
 
 
 @pytest.mark.parametrize(

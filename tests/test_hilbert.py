@@ -323,7 +323,8 @@ def test_emitter_hamiltonian_equals_sum_of_embeds(n_modes, n_max, cap, data):
 @pytest.mark.parametrize(
     "n_modes, n_max, cap",
     [
-        (5000, 2, 2),  # 12.5 million states with 5001 factors each
+        (5000, 2, 2),  # 12.5 million states, up to two entries each
+        (3778, 2, 2),  # the smallest refused two-excitation chain: 7146089 states
         (5000, 3, None),  # the rank-offset table alone is too large
         (41, 3, None),  # 2 * 4^41 states: the count exceeds int64
     ],
@@ -337,6 +338,20 @@ def test_oversized_space_is_refused_before_allocating(n_modes, n_max, cap):
     finally:
         tracemalloc.stop()
     assert peak < 5e6
+
+
+def test_two_excitation_chain_space_holds_only_occupied_entries():
+    # the chain's N = 324 two-excitation sector: 53300 states on 325 factors,
+    # none occupying more than two; a dense occupation table would hold 138 MB
+    tracemalloc.start()
+    try:
+        space = CompositeSpace(324, 2, 2)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.dim == 53300
+    assert held < 10e6
+    assert peak < 20e6
 
 
 def _random_csr(rng, d, index_dtype):
