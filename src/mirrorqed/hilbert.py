@@ -170,8 +170,8 @@ class CompositeSpace:
         r, c = np.nonzero(local)
         dn = (r - c)[:, None]
         # one term per nonzero (r, c) and state holding c quanta on the factor
-        held = self.excitations([factor]) == c[:, None]
-        e, s = np.nonzero(held & (self.excitations() + dn <= self._cap))
+        on_c = self.excitations([factor]) == c[:, None]
+        e, s = np.nonzero(on_c & (self.excitations() + dn <= self._cap))
         rows = self._rank_moved(s, factor, dn[e])
         return sp.csr_matrix((local[r[e], c[e]], (rows, s)), shape=(self.dim, self.dim))
 
